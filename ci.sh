@@ -28,10 +28,15 @@ step "determinism oracle (debug build)"
 # property every committed figure depends on. Runs in `fast` mode too.
 cargo test -q -p planaria-sim --test determinism
 
-step "cargo bench --no-run (benches must compile)"
-cargo bench --no-run --workspace
-
 if [[ "${1:-}" != "fast" ]]; then
+    step "perfbench tests (the benchmark must build and pass against the library)"
+    # perfbench/ is a workspace of its own that compiles against the
+    # crates' public APIs through path dependencies. A library change that
+    # breaks its build, or changes the run_stream pull schedule its
+    # wrappers pin, fails the gate here.
+    CARGO_TARGET_DIR=target/perfbench cargo test --release --offline \
+        --manifest-path perfbench/Cargo.toml
+
     step "perf baseline (single-thread throughput -> BENCH_perf.json)"
     cargo run --release -q -p planaria-bench --bin perf_baseline
     # Fail the gate on a malformed measurement file.

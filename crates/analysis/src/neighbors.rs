@@ -16,7 +16,6 @@ pub const BITMAP_DIFF_THRESHOLD: usize = 4;
 
 /// Result of the neighbour analysis at one distance threshold.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NeighborReport {
     /// Workload name.
     pub workload: String,

@@ -21,7 +21,6 @@ use planaria_trace::Trace;
 
 /// Result of the overlap analysis on one trace.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct OverlapReport {
     /// Workload name.
     pub workload: String,

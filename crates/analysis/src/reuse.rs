@@ -20,7 +20,6 @@ pub const BUCKETS: usize = 32;
 
 /// Result of the reuse-distance analysis on one trace.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ReuseReport {
     /// Workload name.
     pub workload: String,

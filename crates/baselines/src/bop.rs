@@ -33,7 +33,6 @@ pub const DEFAULT_OFFSETS: [i64; 52] = [
 
 /// BOP tuning parameters (HPCA'16 defaults).
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BopConfig {
     /// Candidate offsets in block units.
     pub offsets: Vec<i64>,

@@ -49,7 +49,6 @@ impl Prefetcher for NextLine {
 
 /// Stride-prefetcher tuning.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct StrideConfig {
     /// Tracked pages.
     pub entries: usize,

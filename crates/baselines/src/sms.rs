@@ -31,7 +31,6 @@ use planaria_core::Prefetcher;
 
 /// SMS tuning parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SmsConfig {
     /// Active-generation table capacity (pages tracked concurrently).
     pub active_entries: usize,

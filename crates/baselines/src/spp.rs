@@ -24,7 +24,6 @@ const PT_WAYS: usize = 4;
 
 /// SPP tuning parameters (MICRO'16 defaults scaled to one SC).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SppConfig {
     /// Signature-table entries (tracked pages).
     pub st_entries: usize,

@@ -37,7 +37,7 @@ fn main() {
     }
     let args = planaria_bench::HarnessArgs::parse(raw);
 
-    let grid = args.run_grid(&KINDS);
+    let grid = args.grid(&KINDS);
     let mut body = String::new();
     body.push_str(SimResult::csv_header());
     body.push('\n');

@@ -16,7 +16,7 @@ fn main() {
     println!("Figure 10: memory-system power (normalised to no prefetcher)\n");
 
     let kinds = PrefetcherKind::FIGURE_SET;
-    let grid = args.run_grid(&kinds);
+    let grid = args.grid(&kinds);
 
     let mut t = TextTable::new(["app", "None (mW)", "BOP", "SPP", "Planaria"]);
     let mut deltas: Vec<Vec<f64>> = vec![Vec::new(); 3];

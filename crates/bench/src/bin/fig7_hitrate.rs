@@ -16,7 +16,7 @@ fn main() {
     println!("Figure 7: SC hit rate with different prefetchers\n");
 
     let kinds = PrefetcherKind::FIGURE_SET;
-    let grid = args.run_grid(&kinds);
+    let grid = args.grid(&kinds);
 
     let mut header = vec!["app".to_string()];
     header.extend(kinds.iter().map(|k| k.label().to_string()));

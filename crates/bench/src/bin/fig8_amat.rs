@@ -17,7 +17,7 @@ fn main() {
     println!("Figure 8: AMAT (cycles) with different prefetchers\n");
 
     let kinds = PrefetcherKind::FIGURE_SET;
-    let grid = args.run_grid(&kinds);
+    let grid = args.grid(&kinds);
 
     let mut t = TextTable::new(["app", "None", "BOP", "SPP", "Planaria", "Pl vs None"]);
     let mut deltas: Vec<Vec<f64>> = vec![Vec::new(); 3]; // vs none/bop/spp

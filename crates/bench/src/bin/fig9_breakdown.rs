@@ -29,7 +29,7 @@ fn main() {
     let args = HarnessArgs::from_env();
     println!("Figure 9: Planaria performance breakdown (SLP vs TLP)\n");
 
-    let grid = args.run_grid(&KINDS);
+    let grid = args.grid(&KINDS);
 
     let mut t =
         TextTable::new(["app", "SLP share", "TLP share", "SLP ▍TLP", "useful SLP/TLP (full run)"]);

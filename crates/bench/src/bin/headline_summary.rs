@@ -16,7 +16,7 @@ fn main() {
     println!("Headline summary: Planaria vs no prefetcher / BOP / SPP\n");
 
     let kinds = PrefetcherKind::FIGURE_SET;
-    let grid = args.run_grid(&kinds);
+    let grid = args.grid(&kinds);
 
     // Per-app IPC improvements of each prefetcher vs the no-prefetcher run.
     let mut ipc = vec![Vec::new(); 3]; // bop, spp, planaria

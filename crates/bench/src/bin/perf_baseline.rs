@@ -118,7 +118,8 @@ fn main() {
     let traces: Vec<_> = apps.iter().map(|&a| profile(a).scaled(len).build()).collect();
     // One untimed warm-up cell so lazy init (page faults, allocator pools)
     // doesn't land in the first measured kind.
-    MemorySystem::new(SystemConfig::default(), kinds[0].build()).run(&traces[0]);
+    MemorySystem::new(SystemConfig::default(), kinds[0].build())
+        .run_stream(&mut traces[0].stream());
 
     // Repeats are interleaved as whole-grid rounds (not back-to-back per
     // cell): a multi-second load burst on a shared host then has to recur
@@ -131,7 +132,7 @@ fn main() {
             for (ti, trace) in traces.iter().enumerate() {
                 let sys = MemorySystem::new(SystemConfig::default(), kind.build());
                 let t0 = Instant::now();
-                let r = sys.run(trace);
+                let r = sys.run_stream(&mut trace.stream());
                 let secs = t0.elapsed().as_secs_f64();
                 let cell = ki * traces.len() + ti;
                 cell_secs[cell] = cell_secs[cell].min(secs);
@@ -241,7 +242,7 @@ fn stream_mode(len: usize, trace_path: Option<&str>, verify: bool, out_path: &st
                     eprintln!("--verify: {path}: {e}");
                     std::process::exit(1);
                 });
-                verify_against(&r, &sys().run(&trace));
+                verify_against(&r, &sys().run_stream(&mut trace.stream()));
             }
             rows.push(StreamRow {
                 name: r.workload.clone(),
@@ -262,7 +263,7 @@ fn stream_mode(len: usize, trace_path: Option<&str>, verify: bool, out_path: &st
                 let r = sys().run_stream(&mut spec.stream());
                 let secs = t0.elapsed().as_secs_f64();
                 if verify {
-                    verify_against(&r, &sys().run(&spec.build()));
+                    verify_against(&r, &sys().run_stream(&mut spec.build().stream()));
                 }
                 rows.push(StreamRow {
                     name: r.workload.clone(),

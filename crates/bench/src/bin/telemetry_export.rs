@@ -100,14 +100,14 @@ impl ExportArgs {
 
 fn main() {
     let args = ExportArgs::parse(std::env::args().skip(1));
-    let trace = apps::profile(args.app).scaled(args.len).build();
+    let mut stream = apps::profile(args.app).scaled(args.len).stream();
 
     let cfg = SystemConfig {
         telemetry: TelemetryConfig::events_with_capacity(args.capacity),
         ..SystemConfig::default()
     };
     let sys = MemorySystem::new(cfg, args.kind.build());
-    let (result, report) = sys.run_telemetry(&trace, args.warmup);
+    let (result, report) = sys.run_stream_telemetry(&mut stream, args.warmup);
 
     let label = format!("{}/{}", args.app.abbr(), args.kind.label());
     if args.csv {

@@ -143,22 +143,16 @@ impl HarnessArgs {
     /// Runs every `kind` over each selected app on the parallel engine,
     /// printing the batch summary on stderr. Rows are per app in `kinds`
     /// order.
-    pub fn run_grid(&self, kinds: &[PrefetcherKind]) -> Vec<Vec<SimResult>> {
-        let report = self.run_grid_report(kinds);
-        eprintln!("  {}", report.summary());
-        self.maybe_print_telemetry(&report);
-        report.into_rows(kinds.len())
-    }
-
-    /// Like [`HarnessArgs::run_grid`], returning the full [`RunReport`]
-    /// (per-cell timings) instead of bare rows.
-    pub fn run_grid_report(&self, kinds: &[PrefetcherKind]) -> RunReport {
+    pub fn grid(&self, kinds: &[PrefetcherKind]) -> Vec<Vec<SimResult>> {
         let jobs: Vec<Job> = self
             .apps
             .iter()
             .flat_map(|&app| kinds.iter().map(move |&k| Job::grid_cell(app, k, self.len_for(app))))
             .collect();
-        self.runner().run(jobs)
+        let report = self.runner().run(jobs);
+        eprintln!("  {}", report.summary());
+        self.maybe_print_telemetry(&report);
+        report.into_rows(kinds.len())
     }
 
     /// Runs a caller-assembled job batch on this harness's runner and
@@ -309,7 +303,7 @@ mod tests {
             progress: false,
             telemetry: false,
         };
-        let rows = a.run_grid(&[PrefetcherKind::None, PrefetcherKind::NextLine]);
+        let rows = a.grid(&[PrefetcherKind::None, PrefetcherKind::NextLine]);
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].len(), 2);
         assert_eq!(rows[0][0].workload, "CFM");

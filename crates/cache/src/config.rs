@@ -19,7 +19,6 @@ use crate::ReplacementKind;
 /// assert_eq!(sc.sets(), 4096);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub size_bytes: u64,

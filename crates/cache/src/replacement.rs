@@ -11,7 +11,6 @@ use core::fmt;
 
 /// Selects the replacement policy of a [`crate::SetAssocCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ReplacementKind {
     /// Least-recently-used (the baseline system's policy).
     #[default]

@@ -14,7 +14,6 @@ use planaria_common::{DeviceId, PrefetchOrigin};
 /// * **accuracy** = useful / prefetch fills;
 /// * **coverage** = useful / (useful + demand misses).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CacheStats {
     /// Demand accesses that hit.
     pub demand_hits: u64,

@@ -11,7 +11,6 @@ use crate::{Cycle, PhysAddr};
 
 /// Whether an access reads or writes memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum AccessKind {
     /// A read (load / fetch / DMA-in) request.
     Read,
@@ -48,7 +47,6 @@ impl fmt::Display for AccessKind {
 /// per-device state the way PC-indexed prefetchers rely on per-PC state —
 /// but workload generators and statistics use it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum DeviceId {
     /// One of the eight CPU cores (index 0..=7).
     Cpu(u8),
@@ -176,7 +174,6 @@ impl fmt::Display for DeviceId {
 /// assert!(a.kind.is_read());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MemAccess {
     /// Physical byte address of the request.
     pub addr: PhysAddr,

@@ -21,7 +21,6 @@ use crate::{BLOCKS_PER_PAGE, BLOCKS_PER_SEGMENT, BLOCK_SIZE, NUM_CHANNELS, PAGE_
 /// assert_eq!(a.block_base().as_u64(), 0x2000 + 3 * 64);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PhysAddr(u64);
 
 impl PhysAddr {
@@ -103,7 +102,6 @@ impl From<PhysAddr> for u64 {
 /// The page number is the *only* signature Planaria uses to index its
 /// pattern tables (no PC is available at the system-cache level).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PageNum(u64);
 
 impl PageNum {
@@ -156,7 +154,6 @@ impl From<PageNum> for u64 {
 
 /// The index of a 64 B block within its 4 KB page (0..=63).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BlockIndex(u8);
 
 impl BlockIndex {
@@ -201,7 +198,6 @@ impl fmt::Display for BlockIndex {
 
 /// A 16-block segment of a page (0..=3); segment *i* maps to channel *i*.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SegmentIndex(u8);
 
 impl SegmentIndex {
@@ -245,7 +241,6 @@ impl fmt::Display for SegmentIndex {
 
 /// A DRAM channel identifier (0..=3 in the baseline system).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ChannelId(u8);
 
 impl ChannelId {
@@ -281,7 +276,6 @@ impl fmt::Display for ChannelId {
 /// `Cycle` supports saturating-free plain arithmetic because the simulator
 /// never runs long enough to overflow `u64` cycles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Cycle(u64);
 
 impl Cycle {

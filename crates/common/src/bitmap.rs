@@ -31,7 +31,6 @@ macro_rules! impl_bitmap {
     ($name:ident, $repr:ty, $bits:expr, $doc:expr) => {
         #[doc = $doc]
         #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-        #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
         pub struct $name($repr);
 
         impl $name {

@@ -1,8 +1,7 @@
 //! Shared JSON plumbing for every emitter in the workspace.
 //!
-//! The build environment has no registry access, so the vendored `serde`
-//! stand-in ships without `serde_json`; every JSON document the workspace
-//! emits (the `planaria-perf-v1` / `planaria-contention-v1` /
+//! The workspace builds offline, without `serde_json`: every JSON document
+//! it emits (the `planaria-perf-v1` / `planaria-contention-v1` /
 //! `planaria-lint-v1` measurement schemas, the telemetry JSONL stream) is
 //! written by hand. This module is the single home for that plumbing —
 //! `planaria-lint` rule R6 rejects escape helpers or schema emitters

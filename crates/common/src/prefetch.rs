@@ -10,7 +10,6 @@ use crate::{Cycle, DeviceId, PhysAddr};
 /// Figure 9 breakdown (SLP vs TLP contribution) can be measured directly on
 /// the full composite prefetcher rather than only via ablation runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum PrefetchOrigin {
     /// The self-learning (intra-page) sub-prefetcher.
     Slp,
@@ -35,7 +34,6 @@ impl fmt::Display for PrefetchOrigin {
 /// Addresses are always block-aligned; constructing a request aligns the
 /// address down to its 64 B block boundary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PrefetchRequest {
     /// Block-aligned target address.
     pub addr: PhysAddr,

@@ -26,7 +26,6 @@ use crate::{SlpConfig, TlpConfig};
 
 /// Configuration of the full composite prefetcher.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PlanariaConfig {
     /// Intra-page sub-prefetcher sizing.
     pub slp: SlpConfig,

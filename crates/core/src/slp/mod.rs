@@ -23,7 +23,6 @@ use tables::{AccumulationTable, FilterTable, FtOutcome, PatternTable};
 
 /// SLP sizing parameters (per channel).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SlpConfig {
     /// Filter Table entries.
     pub ft_entries: usize,

@@ -45,7 +45,6 @@ use planaria_hash::FixedIndex;
 /// paper's reference \[1\]) into the PN-keyed setting: `Union` grows the
 /// pattern toward coverage, `Intersect` shrinks it toward accuracy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum PatternMerge {
     /// Latest snapshot wins (the paper's behaviour).
     #[default]

@@ -26,7 +26,6 @@ use crate::traits::Prefetcher;
 
 /// TLP sizing parameters (per channel).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TlpConfig {
     /// Recent Page Table entries (at most 128; Ref bits are a u128).
     pub entries: usize,

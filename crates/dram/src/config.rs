@@ -8,7 +8,6 @@ use planaria_common::{PhysAddr, BLOCKS_PER_SEGMENT, BLOCK_SIZE, NUM_CHANNELS};
 /// `tCL`/`tCWL` (CAS latencies) are not listed in the table and use standard
 /// LPDDR4-3200 values.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[allow(missing_docs)] // the fields are the standard JEDEC parameter names
 pub struct Timing {
     pub t_ras: u64,
@@ -97,7 +96,6 @@ impl Default for Timing {
 /// banks — so a footprint prefetch burst within one page enjoys row-buffer
 /// locality, which is where Planaria's power advantage comes from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AddressMap {
     /// Banks per channel (Table 1: 8).
     pub banks: usize,
@@ -132,7 +130,6 @@ impl Default for AddressMap {
 
 /// Command-scheduling discipline of each channel controller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum SchedulerKind {
     /// First-ready, first-come-first-served: row hits first, then age
     /// (the high-performance default).
@@ -153,7 +150,6 @@ impl core::fmt::Display for SchedulerKind {
 
 /// Row-buffer management policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum PagePolicy {
     /// Keep rows open after column commands (bets on row-buffer locality;
     /// the default, and what pattern-bursting prefetchers feed).
@@ -176,7 +172,6 @@ impl core::fmt::Display for PagePolicy {
 
 /// Full controller configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DramConfig {
     /// Channel count (the common static mapping assumes 4).
     pub channels: usize,

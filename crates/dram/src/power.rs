@@ -24,7 +24,6 @@ use planaria_common::Cycle;
 /// IO included); they set the *scale* of Figure 10 while the command mix
 /// sets its *shape*.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EnergyParams {
     /// Energy of one activate+precharge pair (charged at ACT).
     pub act_pre_pj: f64,
@@ -63,7 +62,6 @@ impl Default for EnergyParams {
 
 /// Command counts accumulated by a channel (or summed over channels).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DramStats {
     /// Row activates issued.
     pub n_act: u64,

@@ -6,7 +6,6 @@ use planaria_common::{Cycle, PhysAddr};
 
 /// Opaque identifier of an enqueued request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RequestId(pub(crate) u64);
 
 impl RequestId {
@@ -27,7 +26,6 @@ impl fmt::Display for RequestId {
 /// FR-FCFS breaks ties in favour of earlier classes, so demand misses are
 /// never starved by prefetch or writeback traffic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Priority {
     /// A demand miss fill — someone is stalled on it.
     Demand,
@@ -49,7 +47,6 @@ impl fmt::Display for Priority {
 
 /// A finished request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Completion {
     /// Request identifier returned by `try_enqueue`.
     pub id: RequestId,
@@ -74,7 +71,6 @@ impl Completion {
 
 /// DRAM command kinds (recorded in the command log when enabled).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum CommandKind {
     /// Row activate.
     Activate,
@@ -102,7 +98,6 @@ impl fmt::Display for CommandKind {
 
 /// One issued command (log entry).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Command {
     /// Issue cycle.
     pub cycle: Cycle,

@@ -113,7 +113,7 @@ fn wall_clock_in_a_serve_path_fires_r2() {
 #[test]
 fn workspace_config_learns_member_crate_idents() {
     let config = workspace_config(&repo_root()).expect("config builds");
-    for ident in ["planaria_common", "planaria_hash", "planaria_lint", "serde", "rand"] {
+    for ident in ["planaria_common", "planaria_hash", "planaria_lint", "proptest", "rand"] {
         assert!(
             config.crate_idents.iter().any(|c| c == ident),
             "missing {ident} in {:?}",

@@ -1,8 +1,9 @@
-//! One-call experiment runners for (application × prefetcher) grids.
+//! The prefetcher catalogue and one-call runners for (application ×
+//! prefetcher) cells with Table 1 defaults.
 //!
-//! Every figure harness in `planaria-bench` is a thin loop over these
-//! functions; keeping the grid logic here means tests, examples and benches
-//! all measure exactly the same pipeline.
+//! [`PrefetcherKind`] names every configuration the figures compare.
+//! Grids of cells run on the parallel [`crate::runner::Runner`], which
+//! every figure harness in `planaria-bench` uses.
 
 use core::fmt;
 
@@ -109,12 +110,7 @@ impl fmt::Display for PrefetcherKind {
 
 /// Runs one prefetcher over one prepared trace with Table 1 defaults.
 pub fn run_trace(trace: &Trace, kind: PrefetcherKind) -> SimResult {
-    run_trace_with(trace, kind, SystemConfig::default())
-}
-
-/// Runs one prefetcher over one prepared trace with a custom system.
-pub fn run_trace_with(trace: &Trace, kind: PrefetcherKind, cfg: SystemConfig) -> SimResult {
-    MemorySystem::new(cfg, kind.build()).run(trace)
+    MemorySystem::new(SystemConfig::default(), kind.build()).run_stream(&mut trace.stream())
 }
 
 /// Builds the `app` trace at `length` accesses and runs `kind` over it.
@@ -130,15 +126,6 @@ pub fn run_app(app: AppId, kind: PrefetcherKind, length: usize) -> SimResult {
 pub fn run_app_suite(app: AppId, kinds: &[PrefetcherKind], length: usize) -> Vec<SimResult> {
     let jobs = kinds.iter().map(|&k| crate::runner::Job::grid_cell(app, k, length)).collect();
     crate::runner::Runner::serial().run(jobs).into_results()
-}
-
-/// The full evaluation grid: every Table 2 app × the given prefetchers.
-///
-/// Results are grouped per app in `kinds` order — the shape every figure
-/// harness consumes. Thin single-threaded wrapper over
-/// [`crate::runner::Runner::run_grid`].
-pub fn run_grid(kinds: &[PrefetcherKind], length: usize) -> Vec<Vec<SimResult>> {
-    crate::runner::Runner::serial().run_grid(kinds, length).into_rows(kinds.len())
 }
 
 /// Geometric-mean helper for "average over apps" rows (ratios average

@@ -16,17 +16,23 @@
 //! * [`MemorySystem`] — the event loop: demand lookups, miss handling with
 //!   in-flight merging and late-prefetch upgrades, prefetch filtering
 //!   (cache / in-flight / queue dedup), dirty writebacks, and final drain.
+//!   Every open-loop run enters through [`MemorySystem::run_stream`] or
+//!   [`MemorySystem::run_stream_telemetry`]; closed-loop runs through
+//!   [`TrafficModel::run_stream_telemetry`]. A materialized trace passes
+//!   its [`Trace::stream`](planaria_trace::Trace::stream) adapter.
 //! * [`SystemConfig`] — Table 1 defaults (4 MB 16-way SC, 4-channel
 //!   LPDDR4, queue depth 64).
 //! * [`SimResult`] — hit rate, AMAT, traffic split, energy/power, prefetch
 //!   accuracy/coverage and the SLP/TLP usefulness split (Figure 9).
 //! * [`ipc`] — the analytic AMAT→IPC model documented in DESIGN.md.
-//! * [`experiment`] — one-call runners for (application × prefetcher)
-//!   grids, used by every figure harness.
+//! * [`experiment`] — the prefetcher catalogue ([`PrefetcherKind`]) and
+//!   one-call runners for single (application × prefetcher) cells.
+//! * [`runner`] — the parallel engine every figure harness runs its grid
+//!   on.
 //!
 //! Observability: set [`SystemConfig::telemetry`] (or pass `--telemetry`
 //! to a figure harness) to capture decision traces and per-prefetch
-//! lifecycle events; [`MemorySystem::run_telemetry`] and
+//! lifecycle events; [`MemorySystem::run_stream_telemetry`] and
 //! [`Cell::telemetry`] surface the merged [`TelemetryReport`]. See the
 //! `planaria_telemetry` crate docs for the event taxonomy.
 //!

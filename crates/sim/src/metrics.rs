@@ -4,7 +4,6 @@ use core::fmt;
 
 /// DRAM traffic split by cause.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TrafficBreakdown {
     /// Reads issued for demand misses.
     pub demand_reads: u64,
@@ -32,7 +31,6 @@ impl TrafficBreakdown {
 /// Per-device demand statistics (the SC is shared by CPUs, the GPU and the
 /// accelerators; their hit rates and latencies differ).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DeviceStat {
     /// Device label (`planaria_common::DeviceId::label`: "cpu0".."cpu7",
     /// "gpu", "npu", "isp", "dsp").
@@ -58,7 +56,6 @@ impl DeviceStat {
 
 /// The full metric record of one (workload × prefetcher) simulation.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SimResult {
     /// Workload label (Table 2 abbreviation).
     pub workload: String,

@@ -5,8 +5,8 @@
 //! function of its inputs — so the grid fans out across OS threads with
 //! no change in results. This module provides:
 //!
-//! * [`Job`] — one simulation cell: a trace source, a prefetcher factory,
-//!   a [`SystemConfig`] and a warmup fraction.
+//! * [`Job`] — one simulation cell: a trace source, a prefetcher factory
+//!   and a [`SystemConfig`], run open or closed loop.
 //! * [`Runner`] — executes a batch of jobs on `std::thread::scope`
 //!   workers (no external thread-pool dependency), building each distinct
 //!   `(app, length)` trace exactly once and sharing it via `Arc<Trace>`.
@@ -56,8 +56,7 @@ pub enum TraceSource {
     },
     /// A caller-prepared trace, shared by reference.
     Shared(Arc<Trace>),
-    /// A factory of access streams; the cell runs through the streamed
-    /// engine path in flat memory (implies [`Job::streamed`]).
+    /// A factory of access streams; the cell runs in flat memory.
     Stream(StreamFactory),
 }
 
@@ -72,12 +71,10 @@ pub struct Job {
     pub source: TraceSource,
     /// Full-system configuration.
     pub config: SystemConfig,
-    /// Warmup fraction forwarded to [`MemorySystem::run_with_warmup`].
-    pub warmup: f64,
     /// `Some` switches the cell to closed-loop injection via
     /// [`TrafficModel`]; `None` (the default) replays open-loop.
     pub traffic: Option<TrafficConfig>,
-    /// Run through the streamed engine path ([`Job::streamed`]).
+    /// Render an app workload without materializing it ([`Job::streamed`]).
     pub stream: bool,
     factory: PrefetcherFactory,
 }
@@ -108,19 +105,16 @@ impl Job {
             label: label.into(),
             source,
             config: SystemConfig::default(),
-            warmup: 0.0,
             traffic: None,
             stream: false,
             factory,
         }
     }
 
-    /// Switches the cell to the streamed engine path: an
-    /// [`TraceSource::App`] source renders its workload chunk-at-a-time
-    /// instead of materializing a trace, a [`TraceSource::Shared`] trace
-    /// replays through its stream adapter. Results are bit-identical to
-    /// the materialized path (`tests/streaming.rs` pins this); only the
-    /// memory profile changes.
+    /// Renders a [`TraceSource::App`] workload chunk-at-a-time instead of
+    /// materializing its trace (other sources are unaffected). Results
+    /// are bit-identical to the materialized path (`tests/streaming.rs`
+    /// pins this); only the memory profile changes.
     pub fn streamed(mut self) -> Self {
         self.stream = true;
         self
@@ -132,26 +126,8 @@ impl Job {
         self
     }
 
-    /// Sets the warmup fraction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `warmup` is not within `0.0..1.0`.
-    pub fn warmup(mut self, warmup: f64) -> Self {
-        assert!((0.0..1.0).contains(&warmup), "warmup fraction must be in [0, 1)");
-        assert!(self.traffic.is_none() || warmup == 0.0, "closed-loop jobs measure end to end");
-        self.warmup = warmup;
-        self
-    }
-
     /// Switches the cell to closed-loop injection with `cfg`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a non-zero warmup fraction was already set — closed-loop
-    /// cells measure the run end to end.
     pub fn traffic(mut self, cfg: TrafficConfig) -> Self {
-        assert!(self.warmup == 0.0, "closed-loop jobs measure end to end");
         self.traffic = Some(cfg);
         self
     }
@@ -408,17 +384,6 @@ impl Runner {
         self
     }
 
-    /// Runs the full evaluation grid (every Table 2 app × `kinds`), cells
-    /// in app-major order; [`RunReport::into_rows`]`(kinds.len())` yields
-    /// the per-app grouping of [`crate::experiment::run_grid`].
-    pub fn run_grid(&self, kinds: &[PrefetcherKind], length: usize) -> RunReport {
-        let jobs: Vec<Job> = AppId::ALL
-            .iter()
-            .flat_map(|&app| kinds.iter().map(move |&k| Job::grid_cell(app, k, length)))
-            .collect();
-        self.run(jobs)
-    }
-
     /// Runs a batch of jobs; the report's cells are in submission order
     /// regardless of which worker finished which cell when.
     pub fn run(&self, jobs: Vec<Job>) -> RunReport {
@@ -436,67 +401,38 @@ impl Runner {
             }
             let job = &jobs[i];
             let t0 = Instant::now();
-            // Resolve the input: a shared materialized trace, or an owned
-            // single-use stream for streamed cells. Either way the engine
-            // runs the same streamed core, so the split only affects the
-            // memory profile.
-            enum Input<'s> {
-                Trace(Arc<Trace>),
-                Stream(Box<dyn AccessStream + 's>),
-            }
-            let input = match &job.source {
+            // Resolve the input to a stream: materialized traces replay
+            // through their borrowing adapter, so every cell runs the same
+            // streamed core and the split only affects the memory profile.
+            let held;
+            let mut stream: Box<dyn AccessStream + '_> = match &job.source {
                 TraceSource::App { app, length } if job.stream => {
-                    Input::Stream(Box::new(cache.stream(*app, *length)))
+                    Box::new(cache.stream(*app, *length))
                 }
-                TraceSource::App { app, length } => Input::Trace(cache.get(*app, *length)),
-                TraceSource::Shared(t) if job.stream => Input::Stream(Box::new(t.stream())),
-                TraceSource::Shared(t) => Input::Trace(Arc::clone(t)),
-                TraceSource::Stream(f) => Input::Stream(f()),
+                TraceSource::App { app, length } => {
+                    held = cache.get(*app, *length);
+                    Box::new(held.stream())
+                }
+                TraceSource::Shared(t) => Box::new(t.stream()),
+                TraceSource::Stream(f) => f(),
             };
             let sys = MemorySystem::new(job.config, (job.factory)());
-            let (result, telemetry, closed_loop) = match (job.traffic, input) {
+            let (result, telemetry, closed_loop) = match job.traffic {
                 // Closed-loop cells derive their own injection schedule;
-                // warmup is rejected at Job construction and progress
-                // sampling does not apply.
-                (Some(traffic), Input::Trace(trace)) => {
-                    let (result, closed, telemetry) =
-                        TrafficModel::new(traffic).run_telemetry(sys, &trace);
-                    (result, telemetry, Some(closed))
-                }
-                (Some(traffic), Input::Stream(mut stream)) => {
+                // progress sampling does not apply.
+                Some(traffic) => {
                     let (result, closed, telemetry) =
                         TrafficModel::new(traffic).run_stream_telemetry(sys, stream.as_mut());
                     (result, telemetry, Some(closed))
                 }
-                (None, Input::Trace(trace)) => {
-                    let (result, _, telemetry) = match &self.progress {
-                        Some(cb) => sys.run_core(
-                            &trace,
-                            job.warmup,
-                            self.progress_every,
-                            Some(&mut |done, hit_rate| {
-                                cb(ProgressEvent {
-                                    job: i,
-                                    total,
-                                    label: &job.label,
-                                    done,
-                                    trace_len: trace.len(),
-                                    hit_rate,
-                                })
-                            }),
-                        ),
-                        None => sys.run_core(&trace, job.warmup, usize::MAX, None),
-                    };
-                    (result, telemetry, None)
-                }
-                (None, Input::Stream(mut stream)) => {
+                None => {
                     let (result, _, telemetry) = match &self.progress {
                         Some(cb) => {
                             let trace_len =
                                 stream.total_len().map(|l| l as usize).unwrap_or(usize::MAX);
                             sys.run_stream_core(
                                 stream.as_mut(),
-                                job.warmup,
+                                0.0,
                                 self.progress_every,
                                 Some(&mut |done, hit_rate| {
                                     cb(ProgressEvent {
@@ -510,7 +446,7 @@ impl Runner {
                                 }),
                             )
                         }
-                        None => sys.run_stream_core(stream.as_mut(), job.warmup, usize::MAX, None),
+                        None => sys.run_stream_core(stream.as_mut(), 0.0, usize::MAX, None),
                     };
                     (result, telemetry, None)
                 }
@@ -610,12 +546,6 @@ mod tests {
             .with_progress(|_| {})
             .run(vec![Job::new("o", TraceSource::Shared(trace), PrefetcherKind::Planaria)]);
         assert_eq!(quiet.cells[0].result, observed.cells[0].result);
-    }
-
-    #[test]
-    #[should_panic(expected = "warmup fraction")]
-    fn job_rejects_bad_warmup() {
-        let _ = Job::grid_cell(AppId::Cfm, PrefetcherKind::None, 100).warmup(1.0);
     }
 
     #[test]

@@ -25,7 +25,6 @@ pub const STREAM_CHUNK: usize = 8192;
 /// accurate one never trips it — which is exactly the comparison the
 /// `ablation_governor` harness runs.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct GovernorConfig {
     /// Demand accesses per sampling interval.
     pub interval: u64,
@@ -320,7 +319,7 @@ impl MemorySystem {
     /// so the end-of-run drain in [`MemorySystem::finish`] behaves
     /// identically whether or not the clock was advanced past the final
     /// access.
-    pub fn advance(&mut self, now: Cycle) {
+    pub(crate) fn advance(&mut self, now: Cycle) {
         self.pump_dram(now);
     }
 
@@ -382,19 +381,15 @@ impl MemorySystem {
         self.dram.try_enqueue(addr, true, Priority::Writeback, now).expect("room checked");
     }
 
-    /// Feeds one demand access through the system.
-    pub fn process(&mut self, access: &MemAccess) {
-        let _ = self.process_tracked(access);
-    }
-
     /// Feeds a chunk of demand accesses through the system.
     ///
-    /// Behaviourally identical to calling [`MemorySystem::process`] per
-    /// access — the per-access feedback loop (prefetches fill the cache and
-    /// change later hit/miss outcomes) rules out any coarser dispatch — but
-    /// the reusable completion/scratch buffers move out of `self` once per
-    /// chunk instead of once per access, so the per-access overhead is
-    /// amortised across the batch.
+    /// Behaviourally identical to feeding the accesses one at a time, so
+    /// results do not depend on how a stream is cut into chunks — the
+    /// per-access feedback loop (prefetches fill the cache and change later
+    /// hit/miss outcomes) rules out any coarser dispatch — but the reusable
+    /// completion/scratch buffers move out of `self` once per chunk instead
+    /// of once per access, so the per-access overhead is amortised across
+    /// the batch.
     pub fn process_batch(&mut self, batch: &[MemAccess]) {
         let mut buf = std::mem::take(&mut self.completions);
         let mut scratch = std::mem::take(&mut self.scratch);
@@ -405,7 +400,7 @@ impl MemorySystem {
         self.scratch = scratch;
     }
 
-    /// [`MemorySystem::process`], additionally reporting whether the access
+    /// Feeds one demand access through the system, reporting whether it
     /// hit in the SC (`true`) or must wait on a DRAM fill (`false`). The
     /// closed-loop traffic model needs the distinction to decide when the
     /// requestor's window slot frees.
@@ -578,111 +573,13 @@ impl MemorySystem {
         }
     }
 
-    /// Runs a whole trace and finalises the result.
-    pub fn run(self, trace: &planaria_trace::Trace) -> SimResult {
-        self.run_with_warmup(trace, 0.0)
-    }
-
-    /// Runs a trace, discarding metrics accumulated during the leading
-    /// `warmup` fraction (`0.0..1.0`) of accesses. Cache contents,
-    /// prefetcher state and DRAM protocol state carry over — only the
-    /// counters reset — so steady-state behaviour is measured.
+    /// Runs a stream to exhaustion and finalises the result:
+    /// [`MemorySystem::run_stream_telemetry`] without warmup, keeping only
+    /// the result.
     ///
     /// # Panics
     ///
-    /// Panics if `warmup` is not within `0.0..1.0`.
-    pub fn run_with_warmup(self, trace: &planaria_trace::Trace, warmup: f64) -> SimResult {
-        assert!((0.0..1.0).contains(&warmup), "warmup fraction must be in [0, 1)");
-        self.run_with_warmup_parts(trace, warmup).0
-    }
-
-    /// Like [`MemorySystem::run_with_warmup`], but invokes `observe` with
-    /// `(accesses_processed, interim_hit_rate)` every `every` accesses —
-    /// the hook the parallel [`crate::runner::Runner`] uses for live
-    /// progress reporting. Observation never perturbs the simulation, so
-    /// observed and unobserved runs produce identical results.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `warmup` is not within `0.0..1.0` or `every` is zero.
-    pub fn run_observed(
-        self,
-        trace: &planaria_trace::Trace,
-        warmup: f64,
-        every: usize,
-        observe: &mut dyn FnMut(usize, f64),
-    ) -> SimResult {
-        assert!((0.0..1.0).contains(&warmup), "warmup fraction must be in [0, 1)");
-        assert!(every > 0, "observation interval must be positive");
-        self.run_core(trace, warmup, every, Some(observe)).0
-    }
-
-    /// Like [`MemorySystem::run_with_warmup`], but also returns the merged
-    /// [`TelemetryReport`] — prefetcher decision events plus system-side
-    /// prefetch-lifecycle events, stable-sorted by cycle.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use planaria_sim::experiment::PrefetcherKind;
-    /// use planaria_sim::{EventKind, MemorySystem, SystemConfig, TelemetryConfig};
-    /// use planaria_trace::apps::{profile, AppId};
-    ///
-    /// let trace = profile(AppId::HoK).scaled(5_000).build();
-    /// let cfg = SystemConfig { telemetry: TelemetryConfig::events(), ..Default::default() };
-    /// let sys = MemorySystem::new(cfg, PrefetcherKind::Planaria.build());
-    /// let (result, report) = sys.run_telemetry(&trace, 0.0);
-    ///
-    /// // Lifecycle counters reconcile with the headline metrics.
-    /// assert_eq!(report.count(EventKind::PrefetchIssued), result.traffic.prefetch_reads);
-    /// // Full event capture was on, so the decision trace is populated.
-    /// assert!(!report.events.is_empty());
-    /// ```
-    pub fn run_telemetry(
-        self,
-        trace: &planaria_trace::Trace,
-        warmup: f64,
-    ) -> (SimResult, TelemetryReport) {
-        assert!((0.0..1.0).contains(&warmup), "warmup fraction must be in [0, 1)");
-        let (result, _, telemetry) = self.run_core(trace, warmup, usize::MAX, None);
-        (result, telemetry)
-    }
-
-    /// [`MemorySystem::run_with_warmup`] plus the final DRAM command
-    /// counters (tests assert the read stream partitions exactly).
-    fn run_with_warmup_parts(
-        self,
-        trace: &planaria_trace::Trace,
-        warmup: f64,
-    ) -> (SimResult, planaria_dram::DramStats) {
-        let (result, dram, _) = self.run_core(trace, warmup, usize::MAX, None);
-        (result, dram)
-    }
-
-    pub(crate) fn run_core(
-        self,
-        trace: &planaria_trace::Trace,
-        warmup: f64,
-        every: usize,
-        observe: Option<&mut dyn FnMut(usize, f64)>,
-    ) -> (SimResult, planaria_dram::DramStats, TelemetryReport) {
-        // Materialized runs are the streamed loop over a borrowing adapter
-        // — one code path, so streamed and materialized runs are identical
-        // by construction (and `tests/streaming.rs` pins it).
-        self.run_stream_core(&mut trace.stream(), warmup, every, observe)
-    }
-
-    /// Runs a stream to exhaustion and finalises the result; the streamed
-    /// sibling of [`MemorySystem::run`].
-    ///
-    /// Memory use is flat in the stream length: the engine holds one
-    /// [`STREAM_CHUNK`]-bounded working buffer, never the whole trace.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the stream ends with a latched
-    /// [`planaria_trace::io::ParseTraceError`] — a truncated replay must
-    /// not be reported as a short, successful run.
+    /// As [`MemorySystem::run_stream_telemetry`].
     ///
     /// # Examples
     ///
@@ -694,63 +591,68 @@ impl MemorySystem {
     /// let spec = profile(AppId::HoK).scaled(5_000);
     /// let sys = |k: PrefetcherKind| MemorySystem::new(SystemConfig::default(), k.build());
     ///
-    /// let materialized = sys(PrefetcherKind::Planaria).run(&spec.build());
+    /// // A materialized trace replays through its stream adapter.
+    /// let materialized = sys(PrefetcherKind::Planaria).run_stream(&mut spec.build().stream());
     /// let streamed = sys(PrefetcherKind::Planaria).run_stream(&mut spec.stream());
     /// assert_eq!(streamed, materialized);
     /// ```
     pub fn run_stream(self, stream: &mut dyn AccessStream) -> SimResult {
-        self.run_stream_with_warmup(stream, 0.0)
+        self.run_stream_telemetry(stream, 0.0).0
     }
 
-    /// [`MemorySystem::run_stream`] with a leading `warmup` fraction of
-    /// accesses excluded from the metrics, like
-    /// [`MemorySystem::run_with_warmup`].
+    /// Runs a stream to exhaustion, discarding metrics accumulated during
+    /// the leading `warmup` fraction (`0.0..1.0`) of accesses, and returns
+    /// the result with the merged [`TelemetryReport`] — prefetcher
+    /// decision events plus system-side prefetch-lifecycle events,
+    /// stable-sorted by cycle.
+    ///
+    /// At the warmup boundary cache contents, prefetcher state and DRAM
+    /// protocol state carry over — only the counters reset — so
+    /// steady-state behaviour is measured. Memory use is flat in the
+    /// stream length: the engine holds one [`STREAM_CHUNK`]-bounded
+    /// working buffer, never the whole trace. A materialized trace runs
+    /// through [`planaria_trace::Trace::stream`].
     ///
     /// # Panics
     ///
     /// Panics if `warmup` is not within `0.0..1.0`, if `warmup` is
     /// positive and the stream does not know its
     /// [`AccessStream::total_len`] (the boundary would be a guess), or if
-    /// the stream ends with a latched error.
-    pub fn run_stream_with_warmup(self, stream: &mut dyn AccessStream, warmup: f64) -> SimResult {
-        assert!((0.0..1.0).contains(&warmup), "warmup fraction must be in [0, 1)");
-        self.run_stream_core(stream, warmup, usize::MAX, None).0
-    }
-
-    /// [`MemorySystem::run_observed`] over a stream (the runner's live
-    /// progress hook for streamed jobs).
+    /// the stream ends with a latched
+    /// [`planaria_trace::io::ParseTraceError`] — a truncated replay must
+    /// not be reported as a short, successful run.
     ///
-    /// # Panics
+    /// # Examples
     ///
-    /// As [`MemorySystem::run_stream_with_warmup`], plus if `every` is
-    /// zero.
-    pub fn run_stream_observed(
-        self,
-        stream: &mut dyn AccessStream,
-        warmup: f64,
-        every: usize,
-        observe: &mut dyn FnMut(usize, f64),
-    ) -> SimResult {
-        assert!((0.0..1.0).contains(&warmup), "warmup fraction must be in [0, 1)");
-        assert!(every > 0, "observation interval must be positive");
-        self.run_stream_core(stream, warmup, every, Some(observe)).0
-    }
-
-    /// [`MemorySystem::run_telemetry`] over a stream.
+    /// ```
+    /// use planaria_sim::experiment::PrefetcherKind;
+    /// use planaria_sim::{EventKind, MemorySystem, SystemConfig, TelemetryConfig};
+    /// use planaria_trace::apps::{profile, AppId};
     ///
-    /// # Panics
+    /// let trace = profile(AppId::HoK).scaled(5_000).build();
+    /// let cfg = SystemConfig { telemetry: TelemetryConfig::events(), ..Default::default() };
+    /// let sys = MemorySystem::new(cfg, PrefetcherKind::Planaria.build());
+    /// let (result, report) = sys.run_stream_telemetry(&mut trace.stream(), 0.0);
     ///
-    /// As [`MemorySystem::run_stream_with_warmup`].
+    /// // Lifecycle counters reconcile with the headline metrics.
+    /// assert_eq!(report.count(EventKind::PrefetchIssued), result.traffic.prefetch_reads);
+    /// // Full event capture was on, so the decision trace is populated.
+    /// assert!(!report.events.is_empty());
+    /// ```
     pub fn run_stream_telemetry(
         self,
         stream: &mut dyn AccessStream,
         warmup: f64,
     ) -> (SimResult, TelemetryReport) {
-        assert!((0.0..1.0).contains(&warmup), "warmup fraction must be in [0, 1)");
         let (result, _, telemetry) = self.run_stream_core(stream, warmup, usize::MAX, None);
         (result, telemetry)
     }
 
+    /// The streamed loop behind [`MemorySystem::run_stream_telemetry`],
+    /// additionally invoking `observe` with `(accesses_processed,
+    /// interim_hit_rate)` every `every` accesses — the runner's live
+    /// progress hook — and returning the final DRAM command counters.
+    /// Observation never perturbs the simulation.
     pub(crate) fn run_stream_core(
         mut self,
         stream: &mut dyn AccessStream,
@@ -978,7 +880,7 @@ mod tests {
     fn cold_misses_have_memory_latency() {
         let sys = MemorySystem::new(SystemConfig::default(), Box::new(NullPrefetcher::new()));
         let trace = Trace::new("t", vec![read(0x0000, 0), read(0x4000, 1000)]);
-        let r = sys.run(&trace);
+        let r = sys.run_stream(&mut trace.stream());
         assert_eq!(r.accesses, 2);
         assert_eq!(r.hit_rate, 0.0);
         // Both misses: AMAT far above the hit latency.
@@ -992,7 +894,7 @@ mod tests {
         let sys = MemorySystem::new(SystemConfig::default(), Box::new(NullPrefetcher::new()));
         // Revisit the same block after the fill completed.
         let trace = Trace::new("t", vec![read(0x0000, 0), read(0x0000, 10_000)]);
-        let r = sys.run(&trace);
+        let r = sys.run_stream(&mut trace.stream());
         assert!((r.hit_rate - 0.5).abs() < 1e-12);
     }
 
@@ -1001,7 +903,7 @@ mod tests {
         let sys = MemorySystem::new(SystemConfig::default(), Box::new(NullPrefetcher::new()));
         // Second access arrives 1 cycle later: fill not complete -> merge.
         let trace = Trace::new("t", vec![read(0x0000, 0), read(0x0000, 1)]);
-        let r = sys.run(&trace);
+        let r = sys.run_stream(&mut trace.stream());
         assert_eq!(r.traffic.demand_reads, 1, "one DRAM read, two waiters");
         assert_eq!(r.accesses, 2);
     }
@@ -1012,7 +914,7 @@ mod tests {
         // rest spill — all four must still be charged residual latency.
         let sys = MemorySystem::new(SystemConfig::default(), Box::new(NullPrefetcher::new()));
         let trace = Trace::new("t", vec![read(0, 0), read(0, 1), read(0, 2), read(0, 3)]);
-        let r = sys.run(&trace);
+        let r = sys.run_stream(&mut trace.stream());
         assert_eq!(r.traffic.demand_reads, 1, "one DRAM read, four waiters");
         assert_eq!(r.accesses, 4);
         assert!(r.amat_cycles > 40.0, "all waiters paid memory latency: {}", r.amat_cycles);
@@ -1036,7 +938,7 @@ mod tests {
                 read(12 * 64, 15_000),
             ],
         );
-        let r = sys.run(&trace);
+        let r = sys.run_stream(&mut trace.stream());
         assert_eq!(r.traffic.writebacks, 1, "exactly the dirty line writes back");
     }
 
@@ -1044,7 +946,7 @@ mod tests {
     fn null_prefetcher_issues_nothing() {
         let sys = MemorySystem::new(SystemConfig::default(), Box::new(NullPrefetcher::new()));
         let accesses: Vec<MemAccess> = (0..100).map(|i| read(i * 64, i * 200)).collect();
-        let r = sys.run(&Trace::new("t", accesses));
+        let r = sys.run_stream(&mut Trace::new("t", accesses).stream());
         assert_eq!(r.traffic.prefetch_reads, 0);
         assert_eq!(r.useful_prefetches, 0);
         assert!(r.power_mw > 0.0);
@@ -1056,7 +958,7 @@ mod tests {
         let mk = |pf: Box<dyn Prefetcher>| {
             let sys = MemorySystem::new(SystemConfig::default(), pf);
             let accesses: Vec<MemAccess> = (0..2000u64).map(|i| read(i * 64, i * 300)).collect();
-            sys.run(&Trace::new("stream", accesses))
+            sys.run_stream(&mut Trace::new("stream", accesses).stream())
         };
         let none = mk(Box::new(NullPrefetcher::new()));
         let nl = mk(Box::new(planaria_baselines::NextLine::new()));
@@ -1081,13 +983,13 @@ mod tests {
             SystemConfig::default(),
             Box::new(planaria_baselines::NextLine::new()),
         )
-        .run(&trace);
+        .run_stream(&mut trace.stream());
         let cfg = SystemConfig {
             governor: Some(GovernorConfig { interval: 2_000, ..GovernorConfig::default() }),
             ..SystemConfig::default()
         };
-        let governed =
-            MemorySystem::new(cfg, Box::new(planaria_baselines::NextLine::new())).run(&trace);
+        let governed = MemorySystem::new(cfg, Box::new(planaria_baselines::NextLine::new()))
+            .run_stream(&mut trace.stream());
         assert!(
             governed.traffic.prefetch_reads * 3 < free.traffic.prefetch_reads,
             "governor barely helped: {} vs {}",
@@ -1111,9 +1013,9 @@ mod tests {
             SystemConfig::default(),
             Box::new(planaria_baselines::NextLine::new()),
         )
-        .run(&trace);
-        let governed =
-            MemorySystem::new(cfg, Box::new(planaria_baselines::NextLine::new())).run(&trace);
+        .run_stream(&mut trace.stream());
+        let governed = MemorySystem::new(cfg, Box::new(planaria_baselines::NextLine::new()))
+            .run_stream(&mut trace.stream());
         assert!((governed.hit_rate - free.hit_rate).abs() < 0.01);
         assert_eq!(governed.traffic.prefetch_reads, free.traffic.prefetch_reads);
     }
@@ -1123,10 +1025,11 @@ mod tests {
         let accesses: Vec<MemAccess> =
             (0..200u64).map(|i| read((i % 100) * 64, i * 5_000)).collect();
         let trace = Trace::new("w", accesses);
-        let cold =
-            MemorySystem::new(SystemConfig::default(), Box::new(NullPrefetcher::new())).run(&trace);
+        let cold = MemorySystem::new(SystemConfig::default(), Box::new(NullPrefetcher::new()))
+            .run_stream(&mut trace.stream());
         let warm = MemorySystem::new(SystemConfig::default(), Box::new(NullPrefetcher::new()))
-            .run_with_warmup(&trace, 0.5);
+            .run_stream_telemetry(&mut trace.stream(), 0.5)
+            .0;
         // First half is all cold misses; the measured half is all hits.
         assert!((cold.hit_rate - 0.5).abs() < 1e-9, "cold {}", cold.hit_rate);
         assert!((warm.hit_rate - 1.0).abs() < 1e-9, "warm {}", warm.hit_rate);
@@ -1142,10 +1045,11 @@ mod tests {
         // landed in `latency_sum` while `demand_count` had been reset,
         // roughly doubling the measured AMAT.
         let trace = Trace::new("t", vec![read(0x0000, 0), read(0x0000, 1)]);
-        let cold =
-            MemorySystem::new(SystemConfig::default(), Box::new(NullPrefetcher::new())).run(&trace);
+        let cold = MemorySystem::new(SystemConfig::default(), Box::new(NullPrefetcher::new()))
+            .run_stream(&mut trace.stream());
         let warm = MemorySystem::new(SystemConfig::default(), Box::new(NullPrefetcher::new()))
-            .run_with_warmup(&trace, 0.5);
+            .run_stream_telemetry(&mut trace.stream(), 0.5)
+            .0;
         assert_eq!(warm.accesses, 1);
         assert!(
             warm.amat_cycles < 1.5 * cold.amat_cycles,
@@ -1168,7 +1072,7 @@ mod tests {
                 SystemConfig::default(),
                 Box::new(planaria_baselines::NextLine::new()),
             );
-            let (r, dram) = sys.run_with_warmup_parts(&trace, warmup);
+            let (r, dram, _) = sys.run_stream_core(&mut trace.stream(), warmup, usize::MAX, None);
             assert_eq!(
                 r.traffic.demand_reads + r.traffic.prefetch_reads,
                 dram.n_rd,
@@ -1183,13 +1087,13 @@ mod tests {
     #[should_panic(expected = "warmup fraction")]
     fn warmup_rejects_out_of_range() {
         let sys = MemorySystem::new(SystemConfig::default(), Box::new(NullPrefetcher::new()));
-        let _ = sys.run_with_warmup(&Trace::empty("e"), 1.5);
+        let _ = sys.run_stream_telemetry(&mut Trace::empty("e").stream(), 1.5);
     }
 
     #[test]
     fn empty_trace_is_safe() {
         let sys = MemorySystem::new(SystemConfig::default(), Box::new(NullPrefetcher::new()));
-        let r = sys.run(&Trace::empty("empty"));
+        let r = sys.run_stream(&mut Trace::empty("empty").stream());
         assert_eq!(r.accesses, 0);
         assert_eq!(r.amat_cycles, 0.0);
     }

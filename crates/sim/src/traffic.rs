@@ -11,10 +11,9 @@
 //! *derived from* memory-system behaviour instead of replayed verbatim.
 //! The original inter-access gaps within each stream are kept as think
 //! time, so an uncontended device reproduces its recorded schedule
-//! exactly. Materialized traces run through the same demux via
-//! [`planaria_trace::TraceStream`]; [`TrafficModel::run_stream`] accepts
-//! any stream (synthetic renderers, packed-file replay) without holding
-//! the trace in memory.
+//! exactly. [`TrafficModel::run_stream_telemetry`] accepts any stream
+//! (synthetic renderers, packed-file replay, or a materialized trace via
+//! [`planaria_trace::Trace::stream`]) without holding the trace in memory.
 //!
 //! With an effectively infinite window no device ever stalls, every access
 //! is injected at its original cycle in the original order, and the run is
@@ -44,11 +43,12 @@
 //! use planaria_sim::{MemorySystem, SystemConfig, TrafficConfig, TrafficModel};
 //! use planaria_trace::apps::{profile, AppId};
 //!
-//! let trace = profile(AppId::HoK).scaled(3_000).build();
+//! let spec = profile(AppId::HoK).scaled(3_000);
 //! let sys = MemorySystem::new(SystemConfig::default(), PrefetcherKind::Planaria.build());
-//! let (result, report) = TrafficModel::new(TrafficConfig::new(4)).run(sys, &trace);
+//! let (result, report, _telemetry) =
+//!     TrafficModel::new(TrafficConfig::new(4)).run_stream_telemetry(sys, &mut spec.stream());
 //!
-//! assert_eq!(result.accesses, trace.len() as u64);
+//! assert_eq!(result.accesses, 3_000);
 //! assert!(!report.devices.is_empty());
 //! assert!(report.unfairness >= 1.0);
 //! ```
@@ -60,7 +60,6 @@ use planaria_common::{Cycle, DeviceId, MemAccess};
 use planaria_hash::{map_with_capacity, FastHashMap};
 use planaria_telemetry::TelemetryReport;
 use planaria_trace::stream::AccessStream;
-use planaria_trace::Trace;
 
 use crate::metrics::SimResult;
 use crate::system::MemorySystem;
@@ -74,7 +73,6 @@ const PULL_CHUNK: usize = 4096;
 
 /// Closed-loop injection parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TrafficConfig {
     /// Maximum outstanding requests per device (its MSHR/queue budget).
     /// Higher values approach open-loop behaviour; `usize::MAX` reproduces
@@ -102,7 +100,6 @@ impl Default for TrafficConfig {
 
 /// What the closed loop derived for one device.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DeviceOutcome {
     /// Device label ([`planaria_common::DeviceId::label`]).
     pub device: String,
@@ -128,7 +125,6 @@ pub struct DeviceOutcome {
 /// Per-device outcomes of one closed-loop run plus the headline fairness
 /// number.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ClosedLoopReport {
     /// The window the run used.
     pub window: usize,
@@ -587,50 +583,16 @@ impl TrafficModel {
         Self { cfg }
     }
 
-    /// Runs the whole trace closed-loop and finalises the result.
-    pub fn run(self, sys: MemorySystem, trace: &Trace) -> (SimResult, ClosedLoopReport) {
-        let (result, report, _) = self.run_telemetry(sys, trace);
-        (result, report)
-    }
-
-    /// [`TrafficModel::run`], additionally returning the merged
-    /// [`TelemetryReport`] (same contract as
-    /// [`MemorySystem::run_telemetry`]).
-    pub fn run_telemetry(
-        self,
-        sys: MemorySystem,
-        trace: &Trace,
-    ) -> (SimResult, ClosedLoopReport, TelemetryReport) {
-        // Materialized runs ride the streamed demux over a borrowing
-        // adapter — one code path, pinned identical by the regression
-        // tests.
-        self.run_stream_telemetry(sys, &mut trace.stream())
-    }
-
-    /// [`TrafficModel::run`] over an [`AccessStream`]: the closed loop
-    /// demuxes the stream into per-device windows on the fly, so runs of
-    /// any length need only the accesses near the current injection
-    /// horizon in memory.
+    /// Runs a stream closed-loop to exhaustion and finalises the result,
+    /// the per-device report and the merged [`TelemetryReport`]. The
+    /// closed loop demuxes the stream into per-device windows on the fly,
+    /// so runs of any length need only the accesses near the current
+    /// injection horizon in memory.
     ///
     /// # Panics
     ///
     /// Panics if the stream ends with a latched
     /// [`planaria_trace::io::ParseTraceError`].
-    pub fn run_stream(
-        self,
-        sys: MemorySystem,
-        stream: &mut dyn AccessStream,
-    ) -> (SimResult, ClosedLoopReport) {
-        let (result, report, _) = self.run_stream_telemetry(sys, stream);
-        (result, report)
-    }
-
-    /// [`TrafficModel::run_stream`], additionally returning the merged
-    /// [`TelemetryReport`].
-    ///
-    /// # Panics
-    ///
-    /// As [`TrafficModel::run_stream`].
     pub fn run_stream_telemetry(
         self,
         mut sys: MemorySystem,
@@ -669,20 +631,27 @@ mod tests {
     use crate::system::SystemConfig;
     use planaria_core::NullPrefetcher;
     use planaria_trace::apps::{profile, AppId};
+    use planaria_trace::Trace;
 
     fn small_trace() -> Trace {
         profile(AppId::HoK).scaled(2_000).build()
     }
 
+    fn null_system() -> MemorySystem {
+        MemorySystem::new(SystemConfig::default(), Box::new(NullPrefetcher::new()))
+    }
+
+    fn closed_loop(window: usize, stream: &mut dyn AccessStream) -> (SimResult, ClosedLoopReport) {
+        let (result, report, _) =
+            TrafficModel::new(TrafficConfig { window }).run_stream_telemetry(null_system(), stream);
+        (result, report)
+    }
+
     #[test]
     fn infinite_window_matches_open_loop() {
         let trace = small_trace();
-        let open =
-            MemorySystem::new(SystemConfig::default(), Box::new(NullPrefetcher::new())).run(&trace);
-        let (closed, report) = TrafficModel::new(TrafficConfig { window: usize::MAX }).run(
-            MemorySystem::new(SystemConfig::default(), Box::new(NullPrefetcher::new())),
-            &trace,
-        );
+        let open = null_system().run_stream(&mut trace.stream());
+        let (closed, report) = closed_loop(usize::MAX, &mut trace.stream());
         assert_eq!(open, closed, "infinite window must reproduce open loop bit-for-bit");
         assert_eq!(report.window, usize::MAX);
     }
@@ -690,10 +659,7 @@ mod tests {
     #[test]
     fn small_window_throttles_injection() {
         let trace = small_trace();
-        let (r, report) = TrafficModel::new(TrafficConfig::new(1)).run(
-            MemorySystem::new(SystemConfig::default(), Box::new(NullPrefetcher::new())),
-            &trace,
-        );
+        let (r, report) = closed_loop(1, &mut trace.stream());
         assert_eq!(r.accesses, trace.len() as u64, "every access still injects");
         assert!(
             report.devices.iter().any(|d| d.derived_finish > d.open_loop_finish),
@@ -713,11 +679,8 @@ mod tests {
         // A tight window (heavy contention) through a WorkloadStream must
         // reproduce the materialized closed loop bit-for-bit.
         let spec = profile(AppId::HoK).scaled(2_000);
-        let trace = spec.build();
-        let mk = || MemorySystem::new(SystemConfig::default(), Box::new(NullPrefetcher::new()));
-        let (mat, mat_report) = TrafficModel::new(TrafficConfig::new(2)).run(mk(), &trace);
-        let (str_r, str_report) =
-            TrafficModel::new(TrafficConfig::new(2)).run_stream(mk(), &mut spec.stream());
+        let (mat, mat_report) = closed_loop(2, &mut spec.build().stream());
+        let (str_r, str_report) = closed_loop(2, &mut spec.stream());
         assert_eq!(mat, str_r, "closed-loop result diverged between streamed and materialized");
         assert_eq!(mat_report, str_report);
     }
@@ -729,12 +692,10 @@ mod tests {
         // budgeted — that independence is what makes served sessions and
         // snapshot replay bit-identical to uninterrupted runs.
         let trace = small_trace();
-        let mk = || MemorySystem::new(SystemConfig::default(), Box::new(NullPrefetcher::new()));
-        let (batch, batch_report, _) =
-            TrafficModel::new(TrafficConfig::new(2)).run_telemetry(mk(), &trace);
+        let (batch, batch_report) = closed_loop(2, &mut trace.stream());
 
         for (chunk, budget) in [(1usize, 1usize), (7, 3), (4096, usize::MAX)] {
-            let mut sys = mk();
+            let mut sys = null_system();
             let mut driver = ClosedLoopDriver::new(TrafficConfig::new(2));
             let mut next = 0usize;
             loop {

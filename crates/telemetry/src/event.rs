@@ -12,7 +12,6 @@ use planaria_common::{Cycle, PrefetchOrigin};
 /// lookups/transfers, coordinator arbitration, and the per-prefetch
 /// lifecycle observed by the memory system.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[repr(u8)]
 pub enum EventKind {
     /// SLP: a page entered the Filter Table.
@@ -136,7 +135,6 @@ impl fmt::Display for EventKind {
 
 /// Why TLP declined to transfer a pattern on a trigger.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum TransferReject {
     /// The trigger page has no Recent Page Table entry.
     NoEntry,
@@ -163,7 +161,6 @@ impl TransferReject {
 
 /// Which issuer the coordinator selected for a demand-miss trigger.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ArbitrationWinner {
     /// SLP issues (it holds a pattern for the page).
     Slp,
@@ -189,7 +186,6 @@ impl ArbitrationWinner {
 
 /// Kind-specific payload of an [`Event`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum EventData {
     /// A page entered the Filter Table.
     SlpFtAllocate {
@@ -311,7 +307,6 @@ impl EventData {
 
 /// One fully materialised telemetry event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Event {
     /// Cycle of the demand access that produced the event.
     pub cycle: Cycle,

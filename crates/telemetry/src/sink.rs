@@ -244,7 +244,6 @@ impl TraceSink for RingBufferSink {
 
 /// Telemetry settings, embeddable in a simulation config.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TelemetryConfig {
     /// Capture full [`Event`] records into a ring buffer (counting is
     /// always on regardless).

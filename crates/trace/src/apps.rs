@@ -24,7 +24,6 @@ use crate::{ComponentSpec, WorkloadSpec};
 
 /// Identifiers for the ten Table 2 applications.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum AppId {
     /// Cross Fire Mobile — first-person shooter.
     Cfm,

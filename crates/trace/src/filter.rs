@@ -22,7 +22,6 @@ use crate::Trace;
 
 /// Geometry of one device's private filtering cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FilterConfig {
     /// Private-cache capacity per device, in bytes.
     pub size_bytes: u64,

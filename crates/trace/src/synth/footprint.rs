@@ -23,7 +23,6 @@ use super::{emit_one, rng_for, sample_gap, Envelope};
 
 /// Parameters of the footprint component.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FootprintSpec {
     /// Number of pages in the revisited pool.
     pub pages: usize,

@@ -36,7 +36,6 @@ const REGION_PAGES: u64 = 1 << 24;
 
 /// One traffic class with its parameters.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ComponentSpec {
     /// Stable revisited intra-page footprints (SLP-friendly).
     Footprint(FootprintSpec),
@@ -110,7 +109,6 @@ impl ComponentGen {
 
 /// A component together with its share of the workload's accesses.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct WeightedComponent {
     /// Relative weight (normalised over the spec's components).
     pub weight: f64,
@@ -132,7 +130,6 @@ pub struct WeightedComponent {
 /// assert_eq!(trace.len(), 5_000);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct WorkloadSpec {
     /// Full workload name (e.g. "Honor of Kings").
     pub name: String,
@@ -252,7 +249,6 @@ pub(crate) struct ComponentPlan<'a> {
 
 /// Shared per-access envelope: device, read ratio and timing gaps.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Envelope {
     /// Issuing device recorded in the trace.
     pub device: DeviceId,

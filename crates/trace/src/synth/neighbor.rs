@@ -18,7 +18,6 @@ use super::{emit_one, rng_for, sample_gap, Envelope};
 
 /// Parameters of the neighbouring-cluster component.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NeighborSpec {
     /// Contiguous pages per cluster.
     pub cluster_span: usize,

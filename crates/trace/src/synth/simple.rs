@@ -18,7 +18,6 @@ use super::{emit_one, rng_for, sample_gap, Envelope};
 /// Emits runs of consecutive blocks, then jumps to a fresh area. BOP learns
 /// offset +1 and next-line prefetchers shine here.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct StreamSpec {
     /// Blocks per sequential run.
     pub run_blocks: usize,
@@ -104,7 +103,6 @@ impl StreamGen {
 /// BOP's offset learning locks onto `stride_blocks`; next-line prefetchers
 /// mostly miss when the stride exceeds one block.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct StrideSpec {
     /// Stride between accesses, in 64 B blocks.
     pub stride_blocks: usize,
@@ -194,7 +192,6 @@ impl StrideGen {
 /// No memory-side prefetcher can predict it; aggressive prefetchers that
 /// fire anyway pay for it in traffic and pollution.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RandomSpec {
     /// Pool size in pages.
     pub pages: usize,

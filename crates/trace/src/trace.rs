@@ -11,7 +11,6 @@ use planaria_hash::FastHashSet;
 /// [`Trace::new`] sorts its
 /// input (stably) to guarantee this invariant.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Trace {
     name: String,
     accesses: Vec<MemAccess>,
@@ -200,7 +199,6 @@ impl Extend<MemAccess> for Trace {
 
 /// Aggregate statistics of a [`Trace`].
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TraceSummary {
     /// Workload name.
     pub name: String,

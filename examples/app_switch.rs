@@ -38,10 +38,12 @@ fn main() {
     let window = combined.len() / 10;
     let mut t = TextTable::new(["progress", "phase", "cumulative hit rate"]);
     let mut rows = Vec::new();
-    for (i, a) in combined.iter().enumerate() {
-        system.process(a);
-        if (i + 1) % window == 0 {
-            rows.push((i + 1, (i + 1) <= half, system.interim_hit_rate()));
+    let mut done = 0;
+    for batch in combined.accesses().chunks(window) {
+        system.process_batch(batch);
+        done += batch.len();
+        if batch.len() == window {
+            rows.push((done, done <= half, system.interim_hit_rate()));
         }
     }
     let r = system.finish(combined.name());

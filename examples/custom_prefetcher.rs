@@ -62,7 +62,7 @@ fn main() {
 
     let mut t = TextTable::new(["prefetcher", "hit rate", "AMAT", "accuracy", "pf issued"]);
     for pf in contenders {
-        let r = MemorySystem::new(SystemConfig::default(), pf).run(&trace);
+        let r = MemorySystem::new(SystemConfig::default(), pf).run_stream(&mut trace.stream());
         t.row([
             r.prefetcher.clone(),
             pct0(r.hit_rate),

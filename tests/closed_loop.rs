@@ -6,8 +6,12 @@
 use planaria_common::{DeviceId, PrefetchOrigin};
 use planaria_sim::experiment::PrefetcherKind;
 use planaria_sim::runner::{Job, Runner};
-use planaria_sim::{MemorySystem, SystemConfig, TelemetryConfig, TrafficConfig, TrafficModel};
+use planaria_sim::{
+    ClosedLoopReport, MemorySystem, SimResult, SystemConfig, TelemetryConfig, TelemetryReport,
+    TrafficConfig, TrafficModel,
+};
 use planaria_trace::apps::{profile, AppId};
+use planaria_trace::Trace;
 
 const LEN: usize = 30_000;
 
@@ -15,13 +19,16 @@ fn system() -> MemorySystem {
     MemorySystem::new(SystemConfig::default(), PrefetcherKind::Planaria.build())
 }
 
+fn closed_loop(window: usize, trace: &Trace) -> (SimResult, ClosedLoopReport, TelemetryReport) {
+    TrafficModel::new(TrafficConfig { window }).run_stream_telemetry(system(), &mut trace.stream())
+}
+
 #[test]
 fn unbounded_window_is_bit_identical_to_open_loop() {
     for app in [AppId::HoK, AppId::Cfm] {
         let trace = profile(app).scaled(LEN).build();
-        let open = system().run(&trace);
-        let (closed, report) =
-            TrafficModel::new(TrafficConfig { window: usize::MAX }).run(system(), &trace);
+        let open = system().run_stream(&mut trace.stream());
+        let (closed, report, _) = closed_loop(usize::MAX, &trace);
         assert_eq!(open, closed, "{app:?}: unbounded closed loop must equal open loop");
         // With no stall anywhere, every device keeps its recorded schedule.
         assert!(
@@ -34,7 +41,7 @@ fn unbounded_window_is_bit_identical_to_open_loop() {
 #[test]
 fn small_window_delays_a_contended_device() {
     let trace = profile(AppId::HoK).scaled(LEN).build();
-    let (result, report) = TrafficModel::new(TrafficConfig::new(1)).run(system(), &trace);
+    let (result, report, _) = closed_loop(1, &trace);
     assert_eq!(result.accesses, trace.len() as u64, "closed loop drops no accesses");
     // The acceptance bar: under DRAM contention with a tiny window, at
     // least one device's derived completion time measurably exceeds its
@@ -51,7 +58,7 @@ fn wider_windows_monotonically_approach_open_loop() {
     let spans: Vec<u64> = [1usize, 8, usize::MAX]
         .iter()
         .map(|&w| {
-            let (_, report) = TrafficModel::new(TrafficConfig { window: w }).run(system(), &trace);
+            let (_, report, _) = closed_loop(w, &trace);
             report.devices.iter().map(|d| d.derived_finish).max().unwrap()
         })
         .collect();
@@ -61,8 +68,7 @@ fn wider_windows_monotonically_approach_open_loop() {
 #[test]
 fn per_device_cache_rows_conserve_aggregates() {
     let trace = profile(AppId::Hi3).scaled(LEN).build();
-    let (result, _closed, report) =
-        TrafficModel::new(TrafficConfig::new(4)).run_telemetry(system(), &trace);
+    let (result, _closed, report) = closed_loop(4, &trace);
 
     // Hits/accesses: summing the per-device rows reproduces the headline
     // hit rate exactly.
@@ -94,7 +100,7 @@ fn open_loop_per_device_rows_also_conserve() {
     // The attribution layer is always on; conservation must hold for the
     // default open-loop path too (including the per-device AMAT sums).
     let trace = profile(AppId::Fort).scaled(LEN).build();
-    let result = system().run(&trace);
+    let result = system().run_stream(&mut trace.stream());
     let accesses: u64 = result.device_stats.iter().map(|d| d.accesses).sum();
     let hits: u64 = result.device_stats.iter().map(|d| d.hits).sum();
     assert_eq!(accesses, result.accesses);
@@ -146,9 +152,9 @@ fn closed_loop_is_deterministic_across_threads_and_hashers() {
 #[test]
 fn open_loop_results_unchanged_when_traffic_model_disabled() {
     // A Job without `.traffic(..)` must take the plain open-loop path —
-    // byte-identical to driving MemorySystem::run directly.
+    // byte-identical to driving MemorySystem::run_stream directly.
     let trace = profile(AppId::Qsm).scaled(LEN).build();
-    let direct = system().run(&trace);
+    let direct = system().run_stream(&mut trace.stream());
     let via_runner = Runner::new(1)
         .run(vec![Job::grid_cell(AppId::Qsm, PrefetcherKind::Planaria, LEN)])
         .into_results()

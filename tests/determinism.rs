@@ -64,10 +64,10 @@ fn closed_loop_simulation_is_deterministic() {
     let run = || {
         let trace = profile(AppId::Fort).scaled(20_000).build();
         let sys = MemorySystem::new(SystemConfig::default(), PrefetcherKind::Planaria.build());
-        TrafficModel::new(TrafficConfig::new(2)).run(sys, &trace)
+        TrafficModel::new(TrafficConfig::new(2)).run_stream_telemetry(sys, &mut trace.stream())
     };
-    let (r1, c1) = run();
-    let (r2, c2) = run();
+    let (r1, c1, _) = run();
+    let (r2, c2, _) = run();
     assert_eq!(r1, r2, "closed-loop result diverged");
     assert_eq!(c1, c2, "closed-loop slowdown report diverged");
 }

@@ -74,9 +74,9 @@ fn each_distinct_trace_builds_exactly_once() {
 }
 
 #[test]
-fn engine_honours_per_job_config_and_warmup() {
-    // Two cells differing only in governor config and warmup must match
-    // the direct MemorySystem paths exactly.
+fn engine_honours_per_job_config() {
+    // Two cells differing only in governor config must match the direct
+    // MemorySystem paths exactly.
     let trace = Arc::new(profile(AppId::HoK).scaled(LEN).build());
     let governed_cfg =
         SystemConfig { governor: Some(GovernorConfig::default()), ..SystemConfig::default() };
@@ -84,21 +84,16 @@ fn engine_honours_per_job_config_and_warmup() {
         Job::new("plain", TraceSource::Shared(Arc::clone(&trace)), PrefetcherKind::Bop),
         Job::new("gov", TraceSource::Shared(Arc::clone(&trace)), PrefetcherKind::Bop)
             .config(governed_cfg),
-        Job::new("warm", TraceSource::Shared(Arc::clone(&trace)), PrefetcherKind::Bop).warmup(0.5),
     ]);
     let results = report.into_results();
 
-    let direct_plain =
-        planaria_sim::MemorySystem::new(SystemConfig::default(), PrefetcherKind::Bop.build())
-            .run(&trace);
-    let direct_warm =
-        planaria_sim::MemorySystem::new(SystemConfig::default(), PrefetcherKind::Bop.build())
-            .run_with_warmup(&trace, 0.5);
-
-    assert_eq!(results[0], direct_plain);
-    assert_eq!(results[2], direct_warm);
+    let direct = |cfg| {
+        planaria_sim::MemorySystem::new(cfg, PrefetcherKind::Bop.build())
+            .run_stream(&mut trace.stream())
+    };
+    assert_eq!(results[0], direct(SystemConfig::default()));
+    assert_eq!(results[1], direct(governed_cfg));
     assert_ne!(results[0], results[1], "governor config must reach the cell");
-    assert_eq!(results[2].accesses, (LEN / 2) as u64);
 }
 
 #[test]

@@ -21,7 +21,7 @@ fn sys() -> MemorySystem {
 fn streamed_open_loop_is_bit_identical_to_materialized() {
     for app in [AppId::HoK, AppId::TikT] {
         let spec = profile(app).scaled(20_000);
-        let materialized = sys().run(&spec.build());
+        let materialized = sys().run_stream(&mut spec.build().stream());
         let streamed = sys().run_stream(&mut spec.stream());
         assert_eq!(materialized, streamed, "{app:?}: streamed open-loop run diverged");
         assert_eq!(materialized.fingerprint(), streamed.fingerprint());
@@ -31,8 +31,8 @@ fn streamed_open_loop_is_bit_identical_to_materialized() {
 #[test]
 fn streamed_warmup_is_bit_identical_to_materialized() {
     let spec = profile(AppId::Fort).scaled(20_000);
-    let materialized = sys().run_with_warmup(&spec.build(), 0.25);
-    let streamed = sys().run_stream_with_warmup(&mut spec.stream(), 0.25);
+    let materialized = sys().run_stream_telemetry(&mut spec.build().stream(), 0.25);
+    let streamed = sys().run_stream_telemetry(&mut spec.stream(), 0.25);
     assert_eq!(materialized, streamed, "streamed warmup run diverged");
 }
 
@@ -41,8 +41,8 @@ fn streamed_closed_loop_is_bit_identical_to_materialized() {
     let spec = profile(AppId::Cfm).scaled(15_000);
     let model = |window| TrafficModel::new(TrafficConfig::new(window));
     for window in [2, 8] {
-        let (mr, mc) = model(window).run(sys(), &spec.build());
-        let (sr, sc) = model(window).run_stream(sys(), &mut spec.stream());
+        let (mr, mc, _) = model(window).run_stream_telemetry(sys(), &mut spec.build().stream());
+        let (sr, sc, _) = model(window).run_stream_telemetry(sys(), &mut spec.stream());
         assert_eq!(mr, sr, "window {window}: streamed closed-loop result diverged");
         assert_eq!(mc, sc, "window {window}: streamed closed-loop report diverged");
     }
@@ -87,7 +87,7 @@ fn pack_round_trip_preserves_the_trace_exactly() {
     let mut reader = ChunkedTraceReader::new(&bytes[..]).expect("header must parse");
     assert_eq!(reader.total_len(), Some(trace.len() as u64));
     let streamed = sys().run_stream(&mut reader);
-    let materialized = sys().run(&trace);
+    let materialized = sys().run_stream(&mut trace.stream());
     assert_eq!(materialized, streamed, "packed replay diverged from in-memory run");
 }
 
@@ -119,7 +119,7 @@ impl<S: AccessStream> AccessStream for Rechunk<S> {
 #[test]
 fn chunk_schedule_does_not_change_results() {
     let spec = profile(AppId::Qsm).scaled(15_000);
-    let reference = sys().run(&spec.build());
+    let reference = sys().run_stream(&mut spec.build().stream());
     for cap in [1usize, 4096, 1 << 20] {
         let mut stream = Rechunk { inner: spec.stream(), cap };
         let r = sys().run_stream(&mut stream);

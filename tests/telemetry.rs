@@ -56,7 +56,7 @@ fn event_capture_does_not_perturb_results() {
 fn issued_counters_sum_to_global_prefetch_count() {
     let trace = profile(AppId::HoK).scaled(LEN).build();
     let sys = MemorySystem::new(SystemConfig::default(), PrefetcherKind::Planaria.build());
-    let (result, report) = sys.run_telemetry(&trace, 0.0);
+    let (result, report) = sys.run_stream_telemetry(&mut trace.stream(), 0.0);
 
     // Every enqueue site bumps both the metric and the per-origin counter,
     // and the final drain retires everything, so the reconciliation is
@@ -74,7 +74,7 @@ fn issued_counters_sum_to_global_prefetch_count() {
 fn used_counters_reproduce_fig9_split_exactly() {
     let trace = profile(AppId::Hi3).scaled(150_000).build();
     let sys = MemorySystem::new(events_cfg(), PrefetcherKind::Planaria.build());
-    let (result, report) = sys.run_telemetry(&trace, 0.0);
+    let (result, report) = sys.run_stream_telemetry(&mut trace.stream(), 0.0);
 
     assert_eq!(report.used(PrefetchOrigin::Slp), result.useful_slp, "SLP useful split");
     assert_eq!(report.used(PrefetchOrigin::Tlp), result.useful_tlp, "TLP useful split");
@@ -88,7 +88,7 @@ fn per_device_lifecycle_rows_conserve_origin_totals() {
     use planaria_common::DeviceId;
     let trace = profile(AppId::HoK).scaled(LEN).build();
     let sys = MemorySystem::new(events_cfg(), PrefetcherKind::Planaria.build());
-    let (_, report) = sys.run_telemetry(&trace, 0.0);
+    let (_, report) = sys.run_stream_telemetry(&mut trace.stream(), 0.0);
 
     // Every lifecycle bump lands in exactly one device row and one origin
     // row, so the two splits always sum to the same totals.
@@ -118,7 +118,7 @@ fn per_device_lifecycle_rows_conserve_origin_totals() {
 fn counters_stay_on_when_events_are_off() {
     let trace = profile(AppId::Qsm).scaled(LEN).build();
     let sys = MemorySystem::new(SystemConfig::default(), PrefetcherKind::Planaria.build());
-    let (_, report) = sys.run_telemetry(&trace, 0.0);
+    let (_, report) = sys.run_stream_telemetry(&mut trace.stream(), 0.0);
     assert!(report.events.is_empty(), "default config captures no events");
     assert_eq!(report.events_dropped, 0);
     assert!(report.total_issued() > 0, "counting sink is always on");
