@@ -37,9 +37,13 @@ if [[ "${1:-}" != "fast" ]]; then
     CARGO_TARGET_DIR=target/perfbench cargo test --release --offline \
         --manifest-path perfbench/Cargo.toml
 
-    step "perf baseline (single-thread throughput -> BENCH_perf.json)"
-    cargo run --release -q -p planaria-bench --bin perf_baseline
-    # Fail the gate on a malformed measurement file.
+    step "perf baseline (single-thread throughput -> target/ci_perf.json)"
+    # Measure into target/ so the gate never rewrites the committed
+    # BENCH_perf.json; refresh that file deliberately with a bare
+    # `perf_baseline` run. Fail the gate on a malformed measurement or a
+    # malformed committed record.
+    cargo run --release -q -p planaria-bench --bin perf_baseline -- --out target/ci_perf.json
+    cargo run --release -q -p planaria-bench --bin perf_baseline -- --check target/ci_perf.json
     cargo run --release -q -p planaria-bench --bin perf_baseline -- --check BENCH_perf.json
 
     step "contention sweep (closed-loop traffic model smoke test)"
@@ -76,31 +80,37 @@ cargo run -q -p planaria-lint -- --check --out target/lint_report.json
 cargo run -q -p planaria-lint -- --validate target/lint_report.json
 lint_ms=$(( ( $(date +%s%N) - lint_start ) / 1000000 ))
 
+# Scratch workspaces for the negative tests: one member that inherits
+# the workspace lints, so only the seeded violation can fire.
+demo_workspace() {
+    rm -rf "$1"
+    mkdir -p "$1/crates/demo/src"
+    printf '[workspace]\nmembers = ["crates/demo"]\n' > "$1/Cargo.toml"
+    printf '[package]\nname = "demo"\nversion = "0.1.0"\nedition = "2021"\n\n[lints]\nworkspace = true\n' \
+        > "$1/crates/demo/Cargo.toml"
+}
+
 step "planaria-lint negative test (a seeded violation must fail --check)"
 neg_root=target/lint_negative
-rm -rf "$neg_root"
-mkdir -p "$neg_root/crates/demo/src"
-printf '[workspace]\nmembers = ["crates/demo"]\n' > "$neg_root/Cargo.toml"
-printf '[package]\nname = "demo"\nversion = "0.1.0"\nedition = "2021"\n' \
-    > "$neg_root/crates/demo/Cargo.toml"
-printf '//! Demo.\n#![forbid(unsafe_code)]\n#![warn(missing_docs)]\n/// Stub.\npub fn f() { todo!() }\n' \
+demo_workspace "$neg_root"
+printf '//! Demo.\n/// Unbounded.\npub fn f() { let (_tx, _rx) = std::sync::mpsc::channel::<u8>(); }\n' \
     > "$neg_root/crates/demo/src/lib.rs"
-if cargo run -q -p planaria-lint -- --root "$neg_root" --check > /dev/null 2>&1; then
+if cargo run -q -p planaria-lint -- --root "$neg_root" --check \
+        --out target/lint_negative.json > /dev/null 2>&1; then
     echo "planaria-lint negative test failed: seeded violation passed --check"
+    exit 1
+fi
+if ! grep -q '"rule": "R12"' target/lint_negative.json; then
+    echo "planaria-lint negative test failed: no R12 finding in the report"
     exit 1
 fi
 
 step "planaria-lint R9 negative test (an *indirect* wall-clock call must fail --check)"
-# driver.rs never names a clock — the token-level R2 cannot see it. Only
-# the call-graph pass (R9) can taint drive() through crate::clock.
+# driver.rs never names a clock — clippy's call-site check cannot see
+# it. Only the call-graph pass (R9) can taint drive() through crate::clock.
 r9_root=target/lint_negative_r9
-rm -rf "$r9_root"
-mkdir -p "$r9_root/crates/demo/src"
-printf '[workspace]\nmembers = ["crates/demo"]\n' > "$r9_root/Cargo.toml"
-printf '[package]\nname = "demo"\nversion = "0.1.0"\nedition = "2021"\n' \
-    > "$r9_root/crates/demo/Cargo.toml"
-printf '//! Demo.\n#![forbid(unsafe_code)]\n#![warn(missing_docs)]\npub mod clock;\npub mod driver;\n' \
-    > "$r9_root/crates/demo/src/lib.rs"
+demo_workspace "$r9_root"
+printf '//! Demo.\npub mod clock;\npub mod driver;\n' > "$r9_root/crates/demo/src/lib.rs"
 printf '//! Clock.\n/// Direct wall-clock read.\npub fn read_clock() -> u64 {\n    let _ = std::time::Instant::now();\n    0\n}\n' \
     > "$r9_root/crates/demo/src/clock.rs"
 printf '//! Driver.\n/// Indirect: reaches the clock only through a call.\npub fn drive() -> u64 {\n    crate::clock::read_clock()\n}\n' \
@@ -116,6 +126,53 @@ if ! grep -q '"rule": "R9"' target/lint_negative_r9.json; then
 fi
 if ! grep -q 'driver.rs' target/lint_negative_r9.json; then
     echo "planaria-lint R9 negative test failed: R9 did not taint driver.rs"
+    exit 1
+fi
+
+step "clippy negative control (the retired lint rules' fixtures must fail clippy)"
+# A scratch crate under the committed clippy.toml and the root
+# [workspace.lints.*] tables (copied, not restated) holding the fixtures
+# of the rules handed to rustc/clippy. Every lint must fire by name.
+clippy_root=target/clippy_negative
+fixtures=crates/lint/tests/fixtures
+rm -rf "$clippy_root"
+mkdir -p "$clippy_root/src"
+cp clippy.toml "$clippy_root/"
+cp "$fixtures"/bad_r{1,2,3,7,11,12}.rs "$clippy_root/src/"
+{
+    printf '[package]\nname = "clippy-negative"\nversion = "0.0.0"\nedition = "2021"\n\n'
+    printf '[lints]\nworkspace = true\n\n[workspace]\n\n'
+    awk '/^\[/ { keep = /^\[workspace\.lints\./ } keep' Cargo.toml
+} > "$clippy_root/Cargo.toml"
+cat > "$clippy_root/src/lib.rs" <<'EOF'
+//! Clippy negative control: each module and item below breaks the policy.
+#![deny(clippy::disallowed_types)]
+pub mod bad_r1;
+pub mod bad_r2;
+pub mod bad_r3;
+pub mod bad_r7;
+#[deny(clippy::cast_possible_truncation)]
+pub mod bad_r11;
+pub mod bad_r12;
+pub fn undocumented() {
+    unsafe {}
+}
+EOF
+if clippy_out=$(cd "$clippy_root" && cargo clippy --offline -q -- -D warnings 2>&1); then
+    echo "clippy negative control failed: the seeded crate passed clippy"
+    exit 1
+fi
+# rustc spells lint names with hyphens in its `-D …` notes.
+clippy_out=${clippy_out//-/_}
+for lint in disallowed_types disallowed_methods unwrap_used todo dbg_macro unimplemented \
+        cast_possible_truncation unsafe_code missing_docs; do
+    if ! grep -q "$lint" <<< "$clippy_out"; then
+        echo "clippy negative control failed: $lint did not fire"
+        exit 1
+    fi
+done
+if ! grep -q 'std::sync::Mutex' <<< "$clippy_out"; then
+    echo "clippy negative control failed: the hot-crate Mutex in bad_r12.rs passed"
     exit 1
 fi
 

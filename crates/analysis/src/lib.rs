@@ -16,9 +16,6 @@
 //!   1's "long reuse distance / limited temporal locality" claim (and why
 //!   neither replacement tweaks nor modest capacity growth rescue the SC).
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod neighbors;
 pub mod overlap;
 pub mod reuse;

@@ -20,9 +20,6 @@
 //! All implement [`planaria_core::Prefetcher`], so every harness and the
 //! memory-system simulator treat them interchangeably with Planaria.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod bop;
 mod simple;
 mod sms;

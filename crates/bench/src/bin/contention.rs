@@ -13,6 +13,8 @@
 //! cargo run --release -p planaria-bench --bin contention -- --check FILE
 //! ```
 
+#![allow(clippy::disallowed_methods)]
+
 use planaria_bench::cli;
 use planaria_common::json;
 use planaria_sim::experiment::PrefetcherKind;

@@ -7,6 +7,8 @@
 //! cargo run --release -p planaria-bench --bin export_csv -- --len 1000000 --out results.csv
 //! ```
 
+#![allow(clippy::disallowed_methods)]
+
 use std::io::Write as _;
 
 use planaria_sim::experiment::PrefetcherKind;

@@ -20,6 +20,8 @@
 //! (what the code costs), while a single sample measures whatever else
 //! the host happened to be doing.
 
+#![allow(clippy::disallowed_methods)]
+
 use std::time::Instant;
 
 use planaria_bench::cli;

@@ -14,6 +14,8 @@
 //! cargo run --release -p planaria-bench --bin serve_load -- --check FILE
 //! ```
 
+#![allow(clippy::disallowed_methods)]
+
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 

@@ -16,6 +16,8 @@
 //!     --app Fort --kind "Planaria(TLP)" --csv > fort.csv
 //! ```
 
+#![allow(clippy::disallowed_methods)]
+
 use planaria_sim::experiment::PrefetcherKind;
 use planaria_sim::{MemorySystem, SystemConfig, TelemetryConfig};
 use planaria_trace::apps::{self, AppId};

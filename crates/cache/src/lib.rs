@@ -27,8 +27,7 @@
 //! assert!(sc.access(addr, AccessKind::Read).is_hit());
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(clippy::disallowed_types)]
 
 mod cache;
 mod config;

@@ -35,9 +35,6 @@
 //! assert!(addr.block_index().as_usize() < BLOCKS_PER_PAGE);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod access;
 pub mod addr;
 pub mod bitmap;

@@ -37,8 +37,7 @@
 //! assert!(pf.storage_bits() > 0);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(clippy::disallowed_types)]
 
 mod planaria;
 pub mod slp;

@@ -37,8 +37,7 @@
 //! assert!(done[0].finish.as_u64() > 0);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(clippy::disallowed_types)]
 
 mod bank;
 mod channel;

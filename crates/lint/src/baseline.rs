@@ -10,19 +10,20 @@
 
 use planaria_common::json::{self, Value};
 
-use crate::rules::{Violation, RULES};
+use crate::rules::{known_ids, Violation, RULES};
 
 /// Schema identifier of the baseline document.
 ///
-/// v2 accompanies the `planaria-lint-v2` report: entries may now name
-/// the flow-aware rules R9–R12, and unknown rule ids are rejected at
-/// parse time (a typo'd id would otherwise be a permanently-stale entry).
+/// v2 accompanies the `planaria-lint-v2` report: entries may name any id
+/// in [`RULES`], and unknown rule ids — including the retired ones now
+/// enforced by clippy — are rejected at parse time (such an entry could
+/// never match, so it would be permanently stale).
 pub const BASELINE_SCHEMA: &str = "planaria-lint-baseline-v2";
 
 /// One grandfathered site.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BaselineEntry {
-    /// Rule id the site is excused from (`R1`…`R12`).
+    /// Rule id the site is excused from (one of [`RULES`]).
     pub rule: String,
     /// Workspace-relative file path.
     pub file: String,
@@ -77,9 +78,9 @@ impl Baseline {
             };
             if !RULES.iter().any(|r| r.id == entry.rule) {
                 return Err(format!(
-                    "baseline: entry {i} names unknown rule {:?} (known: R1–R{})",
+                    "baseline: entry {i} names unknown rule {:?} (known: {})",
                     entry.rule,
-                    RULES.len()
+                    known_ids()
                 ));
             }
             if entry.justification.trim().is_empty() {
@@ -122,7 +123,7 @@ mod tests {
     #[test]
     fn empty_justification_is_rejected() {
         let text = r#"{"schema": "planaria-lint-baseline-v2", "entries": [
-            {"rule": "R2", "file": "crates/x.rs", "pattern": "Instant", "justification": " "}
+            {"rule": "R9", "file": "crates/x.rs", "pattern": "fn drive", "justification": " "}
         ]}"#;
         let err = Baseline::parse(text).expect_err("must reject");
         assert!(err.contains("justification"), "{err}");
@@ -139,7 +140,8 @@ mod tests {
 
     #[test]
     fn unknown_rule_ids_are_rejected() {
-        for bad in ["R0", "R13", "R99", "X2"] {
+        // R3 and friends are retired (clippy enforces them now).
+        for bad in ["R0", "R1", "R3", "R5", "R7", "R11", "R13", "R99", "X2"] {
             let text = format!(
                 r#"{{"schema": "planaria-lint-baseline-v2", "entries": [
                     {{"rule": "{bad}", "file": "f.rs", "pattern": "x", "justification": "y"}}
@@ -147,6 +149,7 @@ mod tests {
             );
             let err = Baseline::parse(&text).expect_err("must reject");
             assert!(err.contains("unknown rule"), "{err}");
+            assert!(err.contains("known: R4, R6, R8, R9, R10, R12"), "{err}");
         }
         let ok = r#"{"schema": "planaria-lint-baseline-v2", "entries": [
             {"rule": "R12", "file": "f.rs", "pattern": "Mutex", "justification": "reviewed"}

@@ -2,10 +2,11 @@
 //!
 //! The item tree ([`crate::syntax`]) says where every function lives; this
 //! module stitches those functions into a workspace-level graph and walks
-//! it backwards from every direct wall-clock read. R2 already flags the
-//! read *site*; R9 flags every function that *reaches* one through calls —
-//! the failure mode token rules cannot see (a helper buried two crates
-//! down deciding to timestamp something).
+//! it backwards from every direct wall-clock read. Clippy's
+//! `disallowed_methods` already flags the read *site*; R9 flags every
+//! function that *reaches* one through calls — the failure mode a
+//! call-site check cannot see (a helper buried two crates down deciding
+//! to timestamp something).
 //!
 //! # Name resolution approximation
 //!
@@ -22,21 +23,22 @@
 //!
 //! Over-approximate edges are acceptable: an extra edge can only matter if
 //! its callee is wall-clock tainted, and the workspace keeps direct
-//! reads confined to the allowlist (enforced by R2). Known *false
+//! reads confined to the barrier files (enforced by clippy). Known *false
 //! negatives* — calls the graph cannot see — are function pointers /
 //! closures passed as values, trait-object dispatch, and macro-generated
 //! calls; DESIGN.md §11 documents each.
 //!
 //! # Barrier semantics
 //!
-//! Files on the `nondet_allow` list (the runner, bench harnesses, CLI
-//! bins) are the *sanctioned* timing layer. Their functions neither get
-//! reported nor propagate taint — calling `Runner::run` does not make a
-//! caller "reach a wall clock", because the allowlist entry is precisely
-//! the reviewed decision that timing stops there.
+//! Files opening with `#![allow(clippy::disallowed_methods)]` (the runner,
+//! the bench harness library and timing bins, the CLIs) are the
+//! *sanctioned* timing layer. Their functions neither get reported nor
+//! propagate taint — calling `Runner::run` does not make a caller "reach
+//! a wall clock", because that reviewed opt-out is precisely the decision
+//! that timing stops there.
 
 use crate::lexer::{Token, TokenKind};
-use crate::rules::{wall_clock_at, Config, FileMeta, Origin, Violation};
+use crate::rules::{FileMeta, Origin, Violation};
 use crate::syntax::{ItemKind, ItemTree};
 
 /// One source file lifted to the representation the graph passes need:
@@ -86,7 +88,7 @@ pub struct FnNode {
     pub holes: Vec<(usize, usize)>,
     /// Test-gated (`#[cfg(test)]` region or test file).
     pub is_test: bool,
-    /// File is on the `nondet_allow` list — a taint barrier.
+    /// File opts out of clippy's wall-clock ban — a taint barrier.
     pub allowlisted: bool,
     /// File is first-party production code (where R9 reports).
     pub first_party: bool,
@@ -103,8 +105,8 @@ pub struct CallGraph {
 
 impl CallGraph {
     /// Builds the graph over every file and resolves call edges.
-    pub fn build(files: &[FileIr], config: &Config) -> CallGraph {
-        let nodes = collect_nodes(files, config);
+    pub fn build(files: &[FileIr]) -> CallGraph {
+        let nodes = collect_nodes(files);
 
         // Lookup tables (insert + point lookups only — iteration order of
         // a hash map must never influence output, per this linter's own
@@ -149,9 +151,9 @@ impl CallGraph {
     }
 
     /// Runs the R9 taint pass: finds every function whose body directly
-    /// reads a wall clock (outside the allowlist), propagates taint to
-    /// callers — stopping at allowlist barriers — and reports the
-    /// *indirectly* tainted functions (direct sites are R2's to report).
+    /// reads a wall clock (outside the barrier files), propagates taint
+    /// to callers — stopping at barriers — and reports the *indirectly*
+    /// tainted functions (direct sites are clippy's to report).
     pub fn wall_clock_taint(&self, files: &[FileIr]) -> Vec<Violation> {
         let n = self.nodes.len();
         // What each directly-tainted node reaches, e.g. "Instant::now".
@@ -231,7 +233,7 @@ impl CallGraph {
                 snippet,
                 message: format!(
                     "fn `{}` transitively reaches {what} via {path}; simulated code must be a \
-                     pure function of its inputs — route timing through the allowlisted \
+                     pure function of its inputs — route timing through the sanctioned \
                      runner/bench layer or pass timestamps in as data",
                     node.name
                 ),
@@ -345,11 +347,42 @@ fn resolve(
     in_crate
 }
 
+/// Recognises a direct wall-clock / nondeterminism pattern at token `i`:
+/// `SystemTime`, `thread_rng`, `from_entropy`, `Instant::now`,
+/// `std::env`. Returns what was reached.
+fn wall_clock_at(toks: &[Token], i: usize) -> Option<String> {
+    let t = toks.get(i)?;
+    if t.is_ident("SystemTime") || t.is_ident("thread_rng") || t.is_ident("from_entropy") {
+        return Some(t.text.clone());
+    }
+    let qualified = |name: &str| {
+        matches!(toks.get(i + 1), Some(c) if c.is_punct(':'))
+            && matches!(toks.get(i + 2), Some(c) if c.is_punct(':'))
+            && matches!(toks.get(i + 3), Some(n) if n.is_ident(name))
+    };
+    if t.is_ident("Instant") && qualified("now") {
+        return Some("Instant::now".to_string());
+    }
+    if t.is_ident("std") && qualified("env") {
+        return Some("std::env".to_string());
+    }
+    None
+}
+
+/// True when the file opens (after its `//!` docs) with
+/// `#![allow(clippy::disallowed_methods)]`: the reviewed opt-out from
+/// clippy's wall-clock/env ban, and therefore an R9 barrier.
+fn opts_out_of_clock_ban(toks: &[Token]) -> bool {
+    const ATTR: [&str; 11] =
+        ["#", "!", "[", "allow", "(", "clippy", ":", ":", "disallowed_methods", ")", "]"];
+    toks.len() >= ATTR.len() && toks.iter().zip(ATTR).all(|(t, a)| t.text == a)
+}
+
 /// Flattens every file's item tree into graph nodes.
-fn collect_nodes(files: &[FileIr], config: &Config) -> Vec<FnNode> {
+fn collect_nodes(files: &[FileIr]) -> Vec<FnNode> {
     let mut nodes = Vec::new();
     for (file_idx, ir) in files.iter().enumerate() {
-        let allowlisted = config.nondet_allow.iter().any(|p| ir.meta.path.starts_with(p.as_str()));
+        let allowlisted = opts_out_of_clock_ban(&ir.tokens);
         let first_party = matches!(ir.meta.origin, Origin::FirstParty | Origin::Examples)
             && !ir.meta.is_test_file;
         for f in ir.tree.fns() {
@@ -394,7 +427,7 @@ mod tests {
     #[test]
     fn bare_calls_resolve_within_the_crate() {
         let files = [ir("crates/core/src/a.rs", "pub fn leaf() {}\npub fn root() { leaf(); }\n")];
-        let g = CallGraph::build(&files, &Config::default());
+        let g = CallGraph::build(&files);
         assert_eq!(g.nodes.len(), 2);
         assert_eq!(g.edges, [(1, 0)]);
     }
@@ -409,7 +442,7 @@ mod tests {
                  pub fn no_edge() { std::mem::drop(1); }\n",
             ),
         ];
-        let g = CallGraph::build(&files, &Config::default());
+        let g = CallGraph::build(&files);
         let helper = g.nodes.iter().position(|n| n.name == "helper").unwrap();
         let caller = g.nodes.iter().position(|n| n.name == "caller").unwrap();
         assert!(g.edges.contains(&(caller, helper)));
@@ -425,7 +458,7 @@ mod tests {
              impl B { pub fn make() -> B { B } }\n\
              pub fn build_a() { A::make(); }\n",
         )];
-        let g = CallGraph::build(&files, &Config::default());
+        let g = CallGraph::build(&files);
         let build_a = g.nodes.iter().position(|n| n.name == "build_a").unwrap();
         let callees: Vec<&str> = g
             .edges
@@ -444,7 +477,7 @@ mod tests {
             "crates/core/src/a.rs",
             "pub fn outer() {\n    fn inner() { let _ = std::time::Instant::now(); }\n}\n",
         )];
-        let g = CallGraph::build(&files, &Config::default());
+        let g = CallGraph::build(&files);
         let vs = g.wall_clock_taint(&files);
         assert!(vs.is_empty(), "declaring a fn is not calling it: {vs:?}");
     }
@@ -459,7 +492,7 @@ mod tests {
             ir("crates/trace/src/mid.rs", "pub fn relay() -> u64 { crate::stamp() }\n"),
             ir("crates/sim/src/top.rs", "pub fn driver() { planaria_trace::relay(); }\n"),
         ];
-        let g = CallGraph::build(&files, &Config::default());
+        let g = CallGraph::build(&files);
         let vs = g.wall_clock_taint(&files);
         let names: Vec<String> =
             vs.iter().map(|v| v.message.split('`').nth(1).unwrap_or("").to_string()).collect();
@@ -475,18 +508,21 @@ mod tests {
 
     #[test]
     fn allowlisted_files_are_taint_barriers() {
-        // runner.rs is on the default allowlist: its direct read is fine,
-        // and callers of its fns stay clean — timing stops at the barrier.
-        let files = [
-            ir(
-                "crates/sim/src/runner.rs",
-                "pub fn timed_cell() -> u64 { let _ = std::time::Instant::now(); 0 }\n",
-            ),
-            ir("crates/sim/src/grid.rs", "pub fn sweep() { crate::timed_cell(); }\n"),
-        ];
-        let g = CallGraph::build(&files, &Config::default());
-        let vs = g.wall_clock_taint(&files);
-        assert!(vs.is_empty(), "allowlisted timing layer must not propagate: {vs:?}");
+        // A file that opts out of clippy's wall-clock ban is the timing
+        // layer: its direct read is sanctioned, and callers of its fns stay
+        // clean — timing stops at the barrier. The path plays no part.
+        let timed = "pub fn timed_cell() -> u64 { let _ = std::time::Instant::now(); 0 }\n";
+        let sweep = ir("crates/sim/src/grid.rs", "pub fn sweep() { crate::timed_cell(); }\n");
+        for (header, barrier) in [
+            ("//! Runner.\n#![allow(clippy::disallowed_methods)]\n", true),
+            ("//! Runner.\n#![allow(dead_code)]\n", false),
+        ] {
+            let files =
+                [ir("crates/sim/src/runner.rs", &format!("{header}{timed}")), sweep.clone()];
+            let g = CallGraph::build(&files);
+            let vs = g.wall_clock_taint(&files);
+            assert_eq!(vs.is_empty(), barrier, "{header:?}: {vs:?}");
+        }
     }
 
     #[test]
@@ -496,10 +532,10 @@ mod tests {
             "pub fn stamp() { let _ = std::time::SystemTime::now(); }\n\
              #[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { crate::stamp(); }\n}\n",
         )];
-        let g = CallGraph::build(&files, &Config::default());
+        let g = CallGraph::build(&files);
         let vs = g.wall_clock_taint(&files);
-        // `stamp` is a *direct* site — R2's report, not R9's. The test fn
-        // calling it is exempt. So R9 stays silent here.
+        // `stamp` is a *direct* site — clippy's report, not R9's. The test
+        // fn calling it is exempt. So R9 stays silent here.
         assert!(vs.is_empty(), "{vs:?}");
     }
 }

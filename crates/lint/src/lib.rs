@@ -3,39 +3,41 @@
 //!
 //! The repository's value proposition — bit-identical simulation results
 //! at any thread count and under any hasher — used to rest on runtime
-//! tests alone. This crate machine-checks the invariants at the source
-//! level, so a future PR cannot quietly reintroduce a seeded `HashMap`
-//! in a hot path, a wall-clock read inside the simulated core, or a
-//! registry dependency the offline build environment cannot fetch.
+//! tests alone. This crate and the workspace's clippy policy machine-check
+//! the invariants at the source level, so a future change cannot quietly
+//! reintroduce a wall-clock read hidden behind a helper, hash-ordered
+//! output, or a registry dependency the offline build cannot fetch.
 //!
 //! The analyzer is deliberately dependency-free: a hand-rolled
 //! comment/string-aware [`lexer`] (no `syn` — consistent with the
 //! no-registry vendoring policy) feeds a brace-matched item-tree parser
 //! ([`syntax`]), a workspace call-graph approximation ([`callgraph`])
-//! and twelve [`rules`] — eight token-level, four flow-aware:
+//! and six [`rules`] — the checks that need project knowledge or a call
+//! graph:
 //!
 //! | id  | invariant |
 //! |-----|-----------|
-//! | R1  | hot-path crates use `planaria_hash` maps, never default-hasher `HashMap`/`HashSet` |
-//! | R2  | no `Instant::now`/`SystemTime`/`thread_rng`/`std::env` outside the timing allowlist |
-//! | R3  | no `.unwrap()` outside test code |
-//! | R4  | every crate root carries `#![forbid(unsafe_code)]` + `#![warn(missing_docs)]` |
-//! | R5  | no float accumulation driven by hash-map iteration order |
+//! | R4  | every `crates/*`/`vendor/*` member manifest has `[lints] workspace = true` |
 //! | R6  | JSON emitters route through `planaria_common::json` |
-//! | R7  | no `todo!`/`dbg!`/`unimplemented!` |
 //! | R8  | imports and manifests resolve only to workspace/vendored crates |
-//! | R9  | no function may transitively *reach* a wall clock through calls (call-graph R2) |
-//! | R10 | no hash-map iteration flowing into ordered sinks without a sort |
-//! | R11 | parsing modules use checked conversions, never narrowing `as` casts |
-//! | R12 | no unbounded channels, no `Rc`/`RefCell` in `Send` device state, no hot-crate locks |
+//! | R9  | no function may transitively *reach* a wall clock through calls |
+//! | R10 | no hash-map iteration flowing into ordered sinks or float folds without a sort |
+//! | R12 | no unbounded channels, no `Rc`/`RefCell` in `Send` device state |
+//!
+//! Everything rustc and clippy check type-aware lives in the root
+//! `Cargo.toml` `[workspace.lints.*]` tables and `clippy.toml`: std
+//! hashers and locks in hot crates, direct wall-clock/env reads,
+//! `unwrap`, stub macros, narrowing casts in the parsing modules,
+//! `unsafe` and missing docs. The retired ids R1–R3, R5, R7 and R11 are
+//! never reused.
 //!
 //! Violations can be grandfathered in a committed [`baseline`] file
 //! (schema `planaria-lint-baseline-v2`), each entry carrying a required
 //! justification; the shipped baseline is empty. Results are emitted as a
 //! fixed-key-order `planaria-lint-v2` JSON [`report`] that also carries
 //! the call-graph size, and `ci.sh` runs `planaria-lint --check` on every
-//! gate. See `DESIGN.md` §9 (token rules) and §11 (structural analysis)
-//! for the full rationale and workflow.
+//! gate. See `DESIGN.md` §9 (rules and the rule → enforcer map) and §11
+//! (structural analysis) for the full rationale and workflow.
 //!
 //! # Examples
 //!
@@ -43,14 +45,11 @@
 //! use planaria_lint::rules::{lint_source, Config, FileMeta};
 //!
 //! let meta = FileMeta::for_path("crates/core/src/demo.rs").expect("classifiable");
-//! let bad = "pub fn f() { let x: Option<u32> = None; x.unwrap(); }";
+//! let bad = "pub fn f() { let (_tx, _rx) = std::sync::mpsc::channel::<u8>(); }";
 //! let violations = lint_source(&meta, bad, &Config::default());
 //! assert_eq!(violations.len(), 1);
-//! assert_eq!(violations[0].rule, "R3");
+//! assert_eq!(violations[0].rule, "R12");
 //! ```
-
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 pub mod baseline;
 pub mod callgraph;
@@ -99,7 +98,7 @@ pub fn lint_files(files: &[SourceFile], config: &Config) -> LintRun {
         violations.extend(rules::lint_source_tokens(&f.meta, &f.text, config));
         irs.push(callgraph::FileIr::build(f.meta.clone(), &f.text));
     }
-    let graph = callgraph::CallGraph::build(&irs, config);
+    let graph = callgraph::CallGraph::build(&irs);
     violations.extend(graph.wall_clock_taint(&irs));
     violations
         .sort_by(|a, b| (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule)));

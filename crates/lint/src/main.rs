@@ -16,14 +16,13 @@
 //! for schema conformance. `--explain R<n>` prints one rule's rationale
 //! with a firing and a non-firing example; an unknown rule id exits 2.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![allow(clippy::disallowed_methods)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use planaria_lint::report::validate_report;
-use planaria_lint::rules::RULES;
+use planaria_lint::rules::{known_ids, RULES};
 use planaria_lint::{load_baseline, run_workspace};
 
 struct Options {
@@ -79,7 +78,7 @@ const EXIT_USAGE: u8 = 2;
 
 fn explain(id: &str) -> Result<(), String> {
     let Some(rule) = RULES.iter().find(|r| r.id.eq_ignore_ascii_case(id)) else {
-        return Err(format!("unknown rule id {id:?} (known: R1–R{})\n{USAGE}", RULES.len()));
+        return Err(format!("unknown rule id {id:?} (known: {})\n{USAGE}", known_ids()));
     };
     println!("{} — {}", rule.id, rule.name);
     println!("\n{}", rule.summary);

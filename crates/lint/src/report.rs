@@ -6,8 +6,8 @@
 //!
 //! v2 extends v1 with an `"analysis"` object carrying the structural
 //! pass's call-graph size (`functions`, `call_edges`) — the number CI
-//! watches so analyzer-cost regressions are visible — and grows the
-//! per-rule summary array to the twelve-rule set.
+//! watches so analyzer-cost regressions are visible. The per-rule summary
+//! array holds one entry per id in [`RULES`].
 
 use planaria_common::json::{self, Value, Writer};
 
@@ -201,11 +201,11 @@ mod tests {
         let outcome = Outcome {
             files_scanned: 1,
             violations: vec![Violation {
-                rule: "R7",
+                rule: "R12",
                 file: "crates/x/src/lib.rs".to_string(),
                 line: 3,
-                snippet: "todo!()".to_string(),
-                message: "stub".to_string(),
+                snippet: "let (tx, rx) = std::sync::mpsc::channel();".to_string(),
+                message: "unbounded channel".to_string(),
             }],
             ..Outcome::default()
         };

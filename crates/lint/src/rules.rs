@@ -1,11 +1,13 @@
 //! The rule set: what each invariant is, and how it is detected.
 //!
-//! Every rule works on the token stream produced by [`crate::lexer`], so
-//! rule-triggering text inside comments, doc comments and string literals
-//! never false-positives. Rules that only make sense outside test code
-//! (R1, R2, R3, R5) additionally skip `#[cfg(test)]`-gated regions and
-//! test files (`tests/`, `benches/`) — tests may use std maps, wall
-//! clocks and `unwrap()` freely.
+//! Every source rule works on the token stream produced by
+//! [`crate::lexer`], so rule-triggering text inside comments, doc comments
+//! and string literals never false-positives. Rules that bind production
+//! code only (R10, R12) additionally skip `#[cfg(test)]`-gated regions
+//! and test files (`tests/`, `benches/`). Checks that rustc and clippy
+//! run type-aware — hashers, wall clocks, `unwrap`, stub macros,
+//! narrowing casts, `unsafe` and missing docs — are configured in the
+//! root `Cargo.toml` and `clippy.toml` instead (DESIGN.md §9).
 
 use crate::lexer::{lex, Token, TokenKind};
 
@@ -34,9 +36,6 @@ pub struct FileMeta {
     pub origin: Origin,
     /// True for files under any `tests/` or `benches/` directory.
     pub is_test_file: bool,
-    /// True for `src/lib.rs` of a workspace member (where R4 looks for
-    /// the crate-level lint attributes).
-    pub is_crate_root: bool,
 }
 
 impl FileMeta {
@@ -61,18 +60,14 @@ impl FileMeta {
             }
             Origin::Examples => false,
         };
-        let is_crate_root = matches!(origin, Origin::FirstParty | Origin::Vendor)
-            && parts.len() == 4
-            && parts[2] == "src"
-            && parts[3] == "lib.rs";
-        Some(FileMeta { path: rel.to_string(), crate_name, origin, is_test_file, is_crate_root })
+        Some(FileMeta { path: rel.to_string(), crate_name, origin, is_test_file })
     }
 }
 
 /// One rule violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
-    /// Rule id (`R1`…`R12`).
+    /// Rule id (one of [`RULES`]).
     pub rule: &'static str,
     /// Workspace-relative file path.
     pub file: String,
@@ -88,7 +83,8 @@ pub struct Violation {
 /// and the report.
 #[derive(Debug, Clone, Copy)]
 pub struct RuleInfo {
-    /// Stable id (`R1`…`R12`).
+    /// Stable id. Ids of rules handed to rustc/clippy are retired, never
+    /// reused, so old baseline entries and docs keep their meaning.
     pub id: &'static str,
     /// Short kebab-case name.
     pub name: &'static str,
@@ -102,58 +98,19 @@ pub struct RuleInfo {
     pub clean: &'static str,
 }
 
-/// All rules, in id order.
-pub const RULES: [RuleInfo; 12] = [
-    RuleInfo {
-        id: "R1",
-        name: "hot-path-hasher",
-        summary: "hot-path crates must use planaria_hash containers (FastHashMap/FastHashSet/\
-                  FixedIndex), not default-hasher HashMap/HashSet",
-        rationale: "std's default hasher is SipHash with a per-process random seed: it is slow \
-                    on the per-access lookup paths and its iteration order varies run to run, \
-                    which breaks the bit-identical-results guarantee the moment order leaks.",
-        fires: "use std::collections::HashMap;\nlet m: HashMap<u64, u64> = HashMap::new();",
-        clean: "use planaria_hash::FastHashMap;\nlet m: FastHashMap<u64, u64> = \
-                FastHashMap::default();",
-    },
-    RuleInfo {
-        id: "R2",
-        name: "no-wall-clock",
-        summary: "no Instant::now/SystemTime/thread_rng/std::env outside the timing allowlist",
-        rationale: "simulated state must be a pure function of its inputs; a wall-clock read or \
-                    ambient environment lookup makes results irreproducible. Timing belongs in \
-                    the allowlisted runner/bench layer.",
-        fires: "let t0 = std::time::Instant::now();",
-        clean: "fn step(&mut self, now: Cycle) { /* time arrives as data */ }",
-    },
-    RuleInfo {
-        id: "R3",
-        name: "no-unwrap",
-        summary: "no .unwrap() outside test code; use expect(\"invariant\") or propagate",
-        rationale: ".unwrap() erases which invariant was violated; a panic message naming the \
-                    broken assumption is the difference between a five-minute fix and a \
-                    debugging session.",
-        fires: "let v = map.get(&k).unwrap();",
-        clean: "let v = map.get(&k).expect(\"key inserted by the constructor\");",
-    },
+/// All rules, in id order. R1–R3, R5, R7 and R11 were handed to
+/// rustc/clippy (R5 folded into R10); see DESIGN.md §9 for the map.
+pub const RULES: [RuleInfo; 6] = [
     RuleInfo {
         id: "R4",
-        name: "crate-root-attrs",
-        summary: "crate roots must carry #![forbid(unsafe_code)] and #![warn(missing_docs)]",
-        rationale: "the whole workspace is safe Rust and rustdoc -D warnings gates CI; both \
-                    properties are only machine-checked if every crate root opts in.",
-        fires: "//! Crate docs.\npub fn f() {}",
-        clean: "//! Crate docs.\n#![forbid(unsafe_code)]\n#![warn(missing_docs)]\npub fn f() {}",
-    },
-    RuleInfo {
-        id: "R5",
-        name: "no-map-order-floats",
-        summary: "no float accumulation driven by hash-map iteration order",
-        rationale: "float addition is not associative, so summing .values() in hash order \
-                    yields different totals on different runs even with the same entries.",
-        fires: "let total: f64 = map.values().sum::<f64>();",
-        clean: "let mut vs: Vec<_> = map.values().collect();\nvs.sort_by(f64::total_cmp);\n\
-                let total: f64 = vs.iter().copied().sum();",
+        name: "workspace-lints",
+        summary: "every crates/* and vendor/* member manifest opts into the workspace lint \
+                  tables with `[lints] workspace = true`",
+        rationale: "unsafe_code = \"forbid\", missing_docs and the clippy policy live once, in \
+                    the root [workspace.lints.*] tables; a member that does not inherit them \
+                    silently escapes all of it.",
+        fires: "[package]\nname = \"demo\"\n\n[dependencies]",
+        clean: "[package]\nname = \"demo\"\n\n[lints]\nworkspace = true",
     },
     RuleInfo {
         id: "R6",
@@ -163,15 +120,6 @@ pub const RULES: [RuleInfo; 12] = [
                     become schema hazards. One shared writer keeps equal reports byte-identical.",
         fires: "fn escape_json(s: &str) -> String { /* local copy */ String::new() }",
         clean: "use planaria_common::json::Writer;\nlet mut w = Writer::pretty();",
-    },
-    RuleInfo {
-        id: "R7",
-        name: "no-debug-macros",
-        summary: "no todo!/dbg!/unimplemented! anywhere in committed code",
-        rationale: "todo!()/unimplemented!() are runtime landmines on untested branches and \
-                    dbg!() pollutes stderr that CI parses; none belong in committed code.",
-        fires: "fn handle(x: u8) { todo!(\"later\") }",
-        clean: "fn handle(x: u8) -> Result<(), Error> { Err(Error::Unsupported(x)) }",
     },
     RuleInfo {
         id: "R8",
@@ -186,11 +134,12 @@ pub const RULES: [RuleInfo; 12] = [
         id: "R9",
         name: "no-transitive-wall-clock",
         summary: "no function may *reach* a wall-clock/entropy source through calls (call-graph \
-                  upgrade of R2's call-site check)",
-        rationale: "R2 only sees the literal call site; hiding Instant::now() one helper away \
-                    defeats it. R9 walks the workspace call graph backwards from every direct \
-                    read, so the taint is caught wherever it enters simulated code. Allowlisted \
-                    files are barriers: their fns are the sanctioned timing API.",
+                  upgrade of clippy's disallowed_methods)",
+        rationale: "clippy's disallowed_methods only sees the literal call site; hiding \
+                    Instant::now() one helper away defeats it. R9 walks the workspace call graph \
+                    backwards from every direct read, so the taint is caught wherever it enters \
+                    simulated code. Files opening with #![allow(clippy::disallowed_methods)] are \
+                    barriers: their fns are the sanctioned timing API.",
         fires: "fn stamp() -> u64 { /* Instant::now() here */ 0 }\n\
                 fn decide(&mut self) { let _ = stamp(); } // R9: reaches the clock",
         clean: "fn decide(&mut self, now: Cycle) { /* timestamps arrive as data */ }",
@@ -199,104 +148,47 @@ pub const RULES: [RuleInfo; 12] = [
         id: "R10",
         name: "no-map-order-sinks",
         summary: "no hash-map iteration flowing into ordered sinks (Vec pushes, JSON writers, \
-                  float accumulators) without an intervening sort",
-        rationale: "generalizes R5: any order-sensitive sink fed from hash iteration — a Vec \
-                    that is never sorted, a JSON writer, a float += — bakes the hasher's \
-                    whim into output bytes.",
-        fires: "for v in map.values() { out.push(v); } // `out` never sorted",
+                  float accumulators and float sum/product/fold chains) without a sort",
+        rationale: "any order-sensitive sink fed from hash iteration — a Vec that is never \
+                    sorted, a JSON writer, a float += or .sum::<f64>() (float addition is not \
+                    associative) — bakes the hasher's whim into output bytes.",
+        fires: "for v in map.values() { out.push(v); } // `out` never sorted\n\
+                let total: f64 = map.values().sum::<f64>();",
         clean: "let mut items: Vec<_> = map.iter().collect();\nitems.sort_by_key(|(k, _)| *k);\n\
                 for (_, v) in items { out.push(v); }",
     },
     RuleInfo {
-        id: "R11",
-        name: "checked-narrowing",
-        summary: "parsing/deserialization modules must not use narrowing `as` casts; use \
-                  From/try_from/checked conversions",
-        rationale: "`count as usize` on attacker-controlled or on-disk data silently truncates \
-                    out-of-range values into plausible small ones; try_from turns the same \
-                    situation into a typed, testable error (FieldTooLarge).",
-        fires: "let n = header_count as usize; // u64 from disk",
-        clean: "let n = usize::try_from(header_count)\n    .map_err(|_| ParseTraceError::\
-                FieldTooLarge { what: \"count\", value: header_count, max: MAX as u64 })?;",
-    },
-    RuleInfo {
         id: "R12",
         name: "concurrency-hygiene",
-        summary: "no unbounded channels anywhere; no Rc/RefCell in Send device state; no locks \
-                  in hot crates outside the allowlist",
+        summary: "no unbounded channels anywhere; no Rc/RefCell in Send device state",
         rationale: "an unbounded channel is an OOM with extra steps under load; Rc/RefCell in \
-                    serving state blocks Send and hides aliasing; a lock on a hot path \
-                    serializes the very parallelism the sharded design exists to provide.",
+                    serving state blocks Send and hides aliasing.",
         fires: "let (tx, rx) = std::sync::mpsc::channel();",
         clean: "let (tx, rx) = std::sync::mpsc::sync_channel(MAILBOX_BOUND);",
     },
 ];
 
-/// Scan configuration: which crates are hot, which paths may read wall
-/// clocks, which top-level crate names imports may resolve to.
+/// The rule ids, comma-separated (`R4, R6, …`), for error messages.
+pub fn known_ids() -> String {
+    RULES.iter().map(|r| r.id).collect::<Vec<_>>().join(", ")
+}
+
+/// Scan configuration: which top-level crate names imports may resolve
+/// to, and which crates hold `Send` device state.
 #[derive(Debug, Clone)]
 pub struct Config {
-    /// Crate directory names whose maps must come from `planaria-hash`.
-    pub hot_crates: Vec<String>,
-    /// Path prefixes allowed to use wall-clock / environment sources.
-    pub nondet_allow: Vec<String>,
     /// Top-level identifiers `use` declarations may start with, beyond
     /// the built-ins (`std`, `core`, `alloc`, `crate`, `self`, `super`,
     /// `proc_macro`). Populated from the workspace member directories.
     pub crate_idents: Vec<String>,
-    /// Files whose parsing/deserialization code must use checked
-    /// conversions instead of narrowing `as` casts (rule R11). Matched
-    /// as path prefixes.
-    pub narrow_cast_paths: Vec<String>,
     /// Crate directory names whose device state must stay `Send`: no
     /// `Rc`/`RefCell` (rule R12).
     pub send_state_crates: Vec<String>,
-    /// Path prefixes exempt from the hot-crate lock ban (rule R12) —
-    /// reviewed sites like the runner's Arc-shared trace cache.
-    pub lock_allow: Vec<String>,
 }
 
 impl Default for Config {
     fn default() -> Self {
-        Config {
-            hot_crates: ["core", "cache", "dram", "sim", "trace"]
-                .iter()
-                .map(|s| s.to_string())
-                .collect(),
-            nondet_allow: [
-                // The figure/benchmark harnesses parse argv and time grids.
-                "crates/bench/",
-                // The runner's RunReport measures wall-clock per cell.
-                "crates/sim/src/runner.rs",
-                // Offline trace CLI tool.
-                "crates/trace/src/bin/",
-                // The lint binary itself parses argv.
-                "crates/lint/src/main.rs",
-            ]
-            .iter()
-            .map(|s| s.to_string())
-            .collect(),
-            crate_idents: Vec::new(),
-            narrow_cast_paths: [
-                // On-disk trace codec: every length/count field is
-                // adversarial until bounds-checked.
-                "crates/trace/src/io.rs",
-                // Snapshot restore parses operator-supplied JSON.
-                "crates/serve/src/snapshot.rs",
-            ]
-            .iter()
-            .map(|s| s.to_string())
-            .collect(),
-            send_state_crates: ["serve"].iter().map(|s| s.to_string()).collect(),
-            lock_allow: [
-                // The runner's cross-thread trace cache and sample sink
-                // are reviewed, coarse-grained and off the per-access path.
-                "crates/sim/src/runner.rs",
-            ]
-            .iter()
-            .map(|s| s.to_string())
-            .collect(),
-        }
+        Config { crate_idents: Vec::new(), send_state_crates: vec!["serve".to_string()] }
     }
 }
 
@@ -311,7 +203,7 @@ pub fn lint_source(meta: &FileMeta, source: &str, config: &Config) -> Vec<Violat
     crate::lint_files(&files, config).violations
 }
 
-/// The token-level half of [`lint_source`]: rules R1–R8 and R10–R12,
+/// The token-level half of [`lint_source`]: rules R6, R8, R10 and R12,
 /// which need only this one file's tokens.
 pub(crate) fn lint_source_tokens(meta: &FileMeta, source: &str, config: &Config) -> Vec<Violation> {
     let tokens = lex(source);
@@ -320,26 +212,24 @@ pub(crate) fn lint_source_tokens(meta: &FileMeta, source: &str, config: &Config)
     let mut out = Vec::new();
 
     let ctx = Ctx { meta, tokens: &tokens, in_test: &in_test, lines: &lines, config };
-    rule_hot_path_hasher(&ctx, &mut out);
-    rule_no_wall_clock(&ctx, &mut out);
-    rule_no_unwrap(&ctx, &mut out);
-    rule_crate_root_attrs(&ctx, &mut out);
-    rule_no_map_order_floats(&ctx, &mut out);
     rule_shared_json(&ctx, &mut out);
-    rule_no_debug_macros(&ctx, &mut out);
     rule_vendored_imports(&ctx, &mut out);
     rule_map_order_sinks(&ctx, &mut out);
-    rule_checked_narrowing(&ctx, &mut out);
     rule_concurrency_hygiene(&ctx, &mut out);
 
     out.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
     out
 }
 
-/// Lints one `Cargo.toml` (rule R8: no registry/git dependencies).
+/// Lints one `Cargo.toml`: rule R8 (no registry/git dependencies) and,
+/// for a `crates/*` or `vendor/*` member manifest, rule R4 (the member
+/// inherits the workspace lint tables).
 pub fn lint_manifest(rel_path: &str, source: &str) -> Vec<Violation> {
     let mut out = Vec::new();
     let mut in_dep_section = false;
+    let mut in_lints = false;
+    let mut inherits_lints = false;
+    let mut package = (1, String::new());
     // `[dependencies.name]` multi-line tables: remember the header until
     // the section closes, then require a path/workspace key inside.
     let mut pending_table: Option<(u32, String)> = None;
@@ -372,6 +262,10 @@ pub fn lint_manifest(rel_path: &str, source: &str) -> Vec<Violation> {
             flush_pending(&mut pending_table, pending_ok, &mut out);
             pending_ok = false;
             let section = line.trim_matches(['[', ']']);
+            in_lints = section == "lints";
+            if section == "package" {
+                package = (line_no, snippet_of(raw));
+            }
             let is_dep_table = section.ends_with("dependencies");
             in_dep_section = is_dep_table;
             if !is_dep_table {
@@ -382,6 +276,9 @@ pub fn lint_manifest(rel_path: &str, source: &str) -> Vec<Violation> {
                 }
             }
             continue;
+        }
+        if in_lints && line == "workspace = true" {
+            inherits_lints = true;
         }
         if pending_table.is_some() {
             if line.starts_with("path") || line == "workspace = true" {
@@ -413,6 +310,21 @@ pub fn lint_manifest(rel_path: &str, source: &str) -> Vec<Violation> {
         }
     }
     flush_pending(&mut pending_table, pending_ok, &mut out);
+
+    let parts: Vec<&str> = rel_path.split('/').collect();
+    let member = matches!(parts.as_slice(), ["crates" | "vendor", _, "Cargo.toml"]);
+    if member && !inherits_lints {
+        out.push(Violation {
+            rule: "R4",
+            file: rel_path.to_string(),
+            line: package.0,
+            snippet: package.1,
+            message: "member manifest lacks `[lints] workspace = true`; without it the root \
+                      [workspace.lints.*] tables (unsafe_code, missing_docs, the clippy policy) \
+                      do not apply to this crate"
+                .to_string(),
+        });
+    }
     out
 }
 
@@ -563,216 +475,6 @@ pub(crate) fn test_regions(tokens: &[Token]) -> Vec<bool> {
     in_test
 }
 
-/// R1 — default-hasher `HashMap`/`HashSet` in hot-path crates.
-fn rule_hot_path_hasher(ctx: &Ctx<'_>, out: &mut Vec<Violation>) {
-    if ctx.meta.origin != Origin::FirstParty
-        || !ctx.config.hot_crates.contains(&ctx.meta.crate_name)
-        || ctx.meta.is_test_file
-    {
-        return;
-    }
-    for (i, t) in ctx.tokens.iter().enumerate() {
-        if !ctx.is_prod(i) {
-            continue;
-        }
-        if t.is_ident("HashMap") || t.is_ident("HashSet") {
-            ctx.emit(
-                out,
-                "R1",
-                t.line,
-                format!(
-                    "std::collections::{} uses the seeded SipHash default; hot-path crates must \
-                     use planaria_hash::Fast{} (deterministic FxHash) — or, on per-access lookup \
-                     paths with a fixed entry budget, planaria_hash::FixedIndex",
-                    t.text, t.text
-                ),
-            );
-        }
-    }
-}
-
-/// Recognises a direct wall-clock / nondeterminism pattern at token `i`:
-/// `SystemTime`, `thread_rng`, `from_entropy`, `Instant::now`,
-/// `std::env`. Returns what was reached. Shared between R2 (call-site
-/// reports) and the R9 call-graph taint pass in [`crate::callgraph`].
-pub(crate) fn wall_clock_at(toks: &[Token], i: usize) -> Option<String> {
-    let t = toks.get(i)?;
-    if t.is_ident("SystemTime") || t.is_ident("thread_rng") || t.is_ident("from_entropy") {
-        return Some(t.text.clone());
-    }
-    let qualified = |name: &str| {
-        matches!(toks.get(i + 1), Some(c) if c.is_punct(':'))
-            && matches!(toks.get(i + 2), Some(c) if c.is_punct(':'))
-            && matches!(toks.get(i + 3), Some(n) if n.is_ident(name))
-    };
-    if t.is_ident("Instant") && qualified("now") {
-        return Some("Instant::now".to_string());
-    }
-    if t.is_ident("std") && qualified("env") {
-        return Some("std::env".to_string());
-    }
-    None
-}
-
-/// R2 — wall-clock / nondeterminism sources outside the allowlist.
-fn rule_no_wall_clock(ctx: &Ctx<'_>, out: &mut Vec<Violation>) {
-    if !ctx.first_party_prod() {
-        return;
-    }
-    if ctx.config.nondet_allow.iter().any(|p| ctx.meta.path.starts_with(p.as_str())) {
-        return;
-    }
-    let toks = ctx.tokens;
-    for (i, t) in toks.iter().enumerate() {
-        if !ctx.is_prod(i) {
-            continue;
-        }
-        if let Some(what) = wall_clock_at(toks, i) {
-            ctx.emit(
-                out,
-                "R2",
-                t.line,
-                format!(
-                    "{what} is a nondeterminism source; simulated code must be a pure function \
-                     of its inputs (timing belongs in the runner/bench allowlist)"
-                ),
-            );
-        }
-    }
-}
-
-/// R3 — `.unwrap()` outside test code.
-fn rule_no_unwrap(ctx: &Ctx<'_>, out: &mut Vec<Violation>) {
-    if !ctx.first_party_prod() {
-        return;
-    }
-    let toks = ctx.tokens;
-    for i in 0..toks.len() {
-        if !ctx.is_prod(i) {
-            continue;
-        }
-        if toks[i].is_ident("unwrap")
-            && i > 0
-            && toks[i - 1].is_punct('.')
-            && matches!(toks.get(i + 1), Some(p) if p.is_punct('('))
-        {
-            ctx.emit(
-                out,
-                "R3",
-                toks[i].line,
-                ".unwrap() hides the violated invariant; use expect(\"why this cannot fail\") \
-                 or propagate the error"
-                    .to_string(),
-            );
-        }
-    }
-}
-
-/// R4 — crate roots must carry the two crate-level lint attributes.
-fn rule_crate_root_attrs(ctx: &Ctx<'_>, out: &mut Vec<Violation>) {
-    if !ctx.meta.is_crate_root {
-        return;
-    }
-    let toks = ctx.tokens;
-    let mut has_forbid_unsafe = false;
-    let mut has_missing_docs = false;
-    for i in 0..toks.len() {
-        // Inner attribute: `#` `!` `[` ident `(` ident `)` `]`.
-        if toks[i].is_punct('#')
-            && matches!(toks.get(i + 1), Some(t) if t.is_punct('!'))
-            && matches!(toks.get(i + 2), Some(t) if t.is_punct('['))
-        {
-            let level = toks.get(i + 3);
-            let arg = toks.get(i + 5);
-            let is_level = |t: &Option<&Token>, names: &[&str]| {
-                t.is_some_and(|t| names.iter().any(|n| t.is_ident(n)))
-            };
-            if is_level(&level, &["forbid", "deny"]) && is_level(&arg, &["unsafe_code"]) {
-                has_forbid_unsafe = true;
-            }
-            if is_level(&level, &["warn", "deny", "forbid"]) && is_level(&arg, &["missing_docs"]) {
-                has_missing_docs = true;
-            }
-        }
-    }
-    if !has_forbid_unsafe {
-        ctx.emit(
-            out,
-            "R4",
-            1,
-            "crate root lacks #![forbid(unsafe_code)] (the whole workspace is safe Rust)"
-                .to_string(),
-        );
-    }
-    if !has_missing_docs {
-        ctx.emit(
-            out,
-            "R4",
-            1,
-            "crate root lacks #![warn(missing_docs)] (rustdoc -D warnings gates CI)".to_string(),
-        );
-    }
-}
-
-/// R5 — float accumulation over hash-map iteration order.
-fn rule_no_map_order_floats(ctx: &Ctx<'_>, out: &mut Vec<Violation>) {
-    if !ctx.first_party_prod() {
-        return;
-    }
-    const MAP_ITERS: [&str; 6] =
-        ["values", "values_mut", "into_values", "keys", "into_keys", "drain"];
-    let toks = ctx.tokens;
-    for i in 0..toks.len() {
-        if !ctx.is_prod(i) {
-            continue;
-        }
-        let t = &toks[i];
-        if !(t.kind == TokenKind::Ident && MAP_ITERS.contains(&t.text.as_str())) {
-            continue;
-        }
-        if !(matches!(toks.get(i + 1), Some(p) if p.is_punct('('))
-            && matches!(toks.get(i + 2), Some(p) if p.is_punct(')')))
-        {
-            continue;
-        }
-        // Look ahead within the same statement for a float accumulator.
-        let mut j = i + 3;
-        let limit = (i + 60).min(toks.len());
-        while j < limit && !toks[j].is_punct(';') {
-            let u = &toks[j];
-            let float_turbofish = (u.is_ident("sum") || u.is_ident("product"))
-                && matches!(toks.get(j + 1), Some(p) if p.is_punct(':'))
-                && matches!(toks.get(j + 2), Some(p) if p.is_punct(':'))
-                && matches!(toks.get(j + 3), Some(p) if p.is_punct('<'))
-                && matches!(toks.get(j + 4), Some(f) if f.is_ident("f64") || f.is_ident("f32"));
-            let float_fold = u.is_ident("fold")
-                && matches!(toks.get(j + 1), Some(p) if p.is_punct('('))
-                && matches!(
-                    toks.get(j + 2),
-                    Some(n) if n.kind == TokenKind::NumLit
-                        && (n.text.contains('.')
-                            || n.text.contains("f64")
-                            || n.text.contains("f32"))
-                );
-            if float_turbofish || float_fold {
-                ctx.emit(
-                    out,
-                    "R5",
-                    t.line,
-                    format!(
-                        ".{}() iterates in hash order; float addition is not associative, so \
-                         the sum depends on iteration order — accumulate integers, or collect \
-                         and sort first",
-                        t.text
-                    ),
-                );
-                break;
-            }
-            j += 1;
-        }
-    }
-}
-
 /// R6 — JSON emitters route through `planaria_common::json`.
 fn rule_shared_json(ctx: &Ctx<'_>, out: &mut Vec<Violation>) {
     if ctx.meta.origin != Origin::FirstParty {
@@ -822,27 +524,6 @@ fn rule_shared_json(ctx: &Ctx<'_>, out: &mut Vec<Violation>) {
                      helpers; hand-rolled writers drift out of sync",
                     lit.text
                 ),
-            );
-        }
-    }
-}
-
-/// R7 — leftover debug/stub macros.
-fn rule_no_debug_macros(ctx: &Ctx<'_>, out: &mut Vec<Violation>) {
-    const BANNED: [&str; 3] = ["todo", "dbg", "unimplemented"];
-    let toks = ctx.tokens;
-    for i in 0..toks.len() {
-        let t = &toks[i];
-        if t.kind == TokenKind::Ident
-            && BANNED.contains(&t.text.as_str())
-            && matches!(toks.get(i + 1), Some(p) if p.is_punct('!'))
-            && matches!(toks.get(i + 2), Some(p) if p.is_punct('('))
-        {
-            ctx.emit(
-                out,
-                "R7",
-                t.line,
-                format!("{}!() must not land on any branch (tests included)", t.text),
             );
         }
     }
@@ -927,9 +608,10 @@ const MAP_ITER_METHODS: [&str; 9] = [
 /// and identifiers that are sorted somewhere (`x.sort*`). A `for` loop
 /// whose header iterates a map identifier is then scanned for ordered
 /// sinks in its body: `vec.push(…)` where `vec` is never sorted, a JSON
-/// writer `.key(…)`, `push_str`/`write!`, or `float += …`. Chained
-/// iterator expressions outside `for` headers are *not* tracked (a
-/// documented false negative — R5 covers the float-fold shape of those).
+/// writer `.key(…)`, `push_str`/`write!`, or `float += …`. Outside `for`
+/// headers only one chain shape is tracked: a map's iterator feeding a
+/// float `sum::<f64>`/`product::<f64>`/`fold(<float literal>, …)` in the
+/// same statement. Other chains are a documented false negative.
 fn rule_map_order_sinks(ctx: &Ctx<'_>, out: &mut Vec<Violation>) {
     if !ctx.first_party_prod() {
         return;
@@ -1142,51 +824,74 @@ fn rule_map_order_sinks(ctx: &Ctx<'_>, out: &mut Vec<Violation>) {
         }
         i = brace + 1;
     }
-}
 
-/// Integer types a cast *into* can lose bits or sign.
-const NARROW_TARGETS: [&str; 8] = ["u8", "u16", "u32", "i8", "i16", "i32", "usize", "isize"];
-
-/// R11 — narrowing `as` casts in parsing/deserialization modules.
-fn rule_checked_narrowing(ctx: &Ctx<'_>, out: &mut Vec<Violation>) {
-    if !ctx.config.narrow_cast_paths.iter().any(|p| ctx.meta.path.starts_with(p.as_str())) {
-        return;
-    }
-    let toks = ctx.tokens;
+    // Pass 3: `map.values().sum::<f64>()`-style chains. Float addition is
+    // not associative, so the total depends on the hash order.
     for i in 0..toks.len() {
-        if !ctx.is_prod(i) || !toks[i].is_ident("as") {
+        let t = &toks[i];
+        let chained = t.kind == TokenKind::Ident
+            && map_idents.contains(&t.text.as_str())
+            && matches!(toks.get(i + 1), Some(p) if p.is_punct('.'))
+            && matches!(toks.get(i + 2), Some(m) if MAP_ITER_METHODS.iter().any(|im| m.is_ident(im)))
+            && matches!(toks.get(i + 3), Some(p) if p.is_punct('('))
+            && matches!(toks.get(i + 4), Some(p) if p.is_punct(')'));
+        if !chained || !ctx.is_prod(i) {
             continue;
         }
-        let Some(target) = toks.get(i + 1) else { continue };
-        if NARROW_TARGETS.iter().any(|n| target.is_ident(n)) {
+        if let Some(reduction) = float_reduction(&toks[i + 5..]) {
+            let (map, method) = (&t.text, &toks[i + 2].text);
             ctx.emit(
                 out,
-                "R11",
-                toks[i].line,
+                "R10",
+                t.line,
                 format!(
-                    "`as {}` silently truncates out-of-range values; this file parses external \
-                     data, so use {}::try_from / From and surface a typed error \
-                     (FieldTooLarge-style) instead",
-                    target.text, target.text
+                    "hash map `{map}.{method}()` feeds {reduction} in hash order; float addition \
+                     is not associative, so the result varies — accumulate integers, or \
+                     collect and sort first"
                 ),
             );
         }
     }
 }
 
-/// Lock type names banned from hot crates (R12c).
-const LOCK_TYPES: [&str; 3] = ["Mutex", "RwLock", "Condvar"];
+/// The float reduction an iterator chain feeds before its statement ends:
+/// `sum::<f64>`/`product::<f32>` or `fold` seeded with a float literal.
+fn float_reduction(toks: &[Token]) -> Option<String> {
+    for (j, u) in toks.iter().enumerate().take(60) {
+        if u.is_punct(';') {
+            break;
+        }
+        let at = |k: usize| toks.get(j + k);
+        if (u.is_ident("sum") || u.is_ident("product"))
+            && at(1).is_some_and(|p| p.is_punct(':'))
+            && at(2).is_some_and(|p| p.is_punct(':'))
+            && at(3).is_some_and(|p| p.is_punct('<'))
+            && at(4).is_some_and(|f| f.is_ident("f64") || f.is_ident("f32"))
+        {
+            return Some(format!("`{}::<{}>`", u.text, toks[j + 4].text));
+        }
+        if u.is_ident("fold")
+            && at(1).is_some_and(|p| p.is_punct('('))
+            && at(2).is_some_and(|n| {
+                n.kind == TokenKind::NumLit
+                    && (n.text.contains('.') || n.text.ends_with("f64") || n.text.ends_with("f32"))
+            })
+        {
+            return Some("a float-seeded `fold`".to_string());
+        }
+    }
+    None
+}
 
-/// R12 — concurrency hygiene: unbounded channels, non-`Send` interior
-/// mutability in device state, locks on hot paths.
+/// R12 — concurrency hygiene: unbounded channels and non-`Send` interior
+/// mutability in device state. (Hot-crate locks are clippy's
+/// `disallowed_types`, denied at the hot crate roots.)
 fn rule_concurrency_hygiene(ctx: &Ctx<'_>, out: &mut Vec<Violation>) {
     if !ctx.first_party_prod() {
         return;
     }
     let toks = ctx.tokens;
     let send_state = ctx.config.send_state_crates.contains(&ctx.meta.crate_name);
-    let hot = ctx.config.hot_crates.contains(&ctx.meta.crate_name)
-        && !ctx.config.lock_allow.iter().any(|p| ctx.meta.path.starts_with(p.as_str()));
     for i in 0..toks.len() {
         if !ctx.is_prod(i) {
             continue;
@@ -1222,21 +927,6 @@ fn rule_concurrency_hygiene(ctx: &Ctx<'_>, out: &mut Vec<Violation>) {
                     t.text
                 ),
             );
-            continue;
-        }
-        // (c) Locks in hot crates outside the allowlist.
-        if hot && LOCK_TYPES.iter().any(|l| t.is_ident(l)) {
-            ctx.emit(
-                out,
-                "R12",
-                t.line,
-                format!(
-                    "{} on a hot-path crate serializes the sharded parallelism; keep per-shard \
-                     state owned and merge deterministically (or add the reviewed site to \
-                     lock_allow)",
-                    t.text
-                ),
-            );
         }
     }
 }
@@ -1268,33 +958,31 @@ mod tests {
 
     #[test]
     fn cfg_test_regions_are_exempt() {
-        let src = "
-            pub fn prod() {}
-            #[cfg(test)]
-            mod tests {
-                use std::collections::HashMap;
-                #[test]
-                fn t() { let m: HashMap<u64, u64> = HashMap::new(); m.len(); }
-            }
-        ";
-        assert!(rules_fired("crates/core/src/x.rs", src).is_empty());
+        let body = "pub fn t() { let (_tx, _rx) = std::sync::mpsc::channel::<u8>(); }";
+        assert_eq!(rules_fired("crates/core/src/x.rs", body), ["R12"]);
+        let gated = format!("pub fn prod() {{}}\n#[cfg(test)]\nmod tests {{\n    {body}\n}}\n");
+        assert!(rules_fired("crates/core/src/x.rs", &gated).is_empty());
     }
 
     #[test]
     fn hot_crate_hashmap_fires_outside_tests() {
-        let src =
-            "use std::collections::HashMap;\npub fn f() -> HashMap<u64, u64> { HashMap::new() }\n";
-        assert_eq!(rules_fired("crates/cache/src/x.rs", src), ["R1"]);
-        // Same file in a non-hot crate: only the import rule is clean too.
-        assert!(rules_fired("crates/telemetry/src/x.rs", src).is_empty());
+        // Naming the type is clippy's (`disallowed_types` at the hot crate
+        // roots); iterating it into an ordered sink is R10's, outside tests.
+        let body = "pub fn f(m: &HashMap<u64, u64>) -> Vec<u64> {\n\
+                    let mut out = Vec::new();\nfor k in m.keys() { out.push(*k); }\nout\n}\n";
+        let prod = format!("use std::collections::HashMap;\n{body}");
+        assert_eq!(rules_fired("crates/cache/src/x.rs", &prod), ["R10"]);
+        let gated =
+            format!("#[cfg(test)]\nmod tests {{\nuse std::collections::HashMap;\n{body}}}\n");
+        assert!(rules_fired("crates/cache/src/x.rs", &gated).is_empty());
     }
 
     #[test]
     fn approved_hot_path_containers_do_not_fire() {
-        // The planaria_hash containers are the sanctioned replacements:
+        // The planaria_hash containers are the sanctioned replacements for
+        // std maps in hot crates (which deny clippy::disallowed_types):
         // FastHashMap/FastHashSet for general maps, FixedIndex for the
-        // fixed-capacity open-addressed page→slot tables on the SLP/TLP
-        // per-access paths. None of them may trip R1 in a hot crate.
+        // fixed-capacity page→slot tables on the SLP/TLP per-access paths.
         let src = "
             use planaria_hash::{FastHashMap, FastHashSet, FixedIndex};
             pub fn f() -> (FastHashMap<u64, u64>, FastHashSet<u64>, FixedIndex) {
@@ -1305,19 +993,26 @@ mod tests {
         assert!(rules_fired("crates/sim/src/x.rs", src).is_empty());
     }
 
+    /// Member-manifest tail that keeps R4 quiet.
+    const LINTS: &str = "\n[lints]\nworkspace = true\n";
+
     #[test]
     fn manifest_registry_dep_is_flagged() {
-        let bad = "[dependencies]\nserde = \"1.0\"\nrand = { path = \"../rand\" }\n";
-        let v = lint_manifest("crates/x/Cargo.toml", bad);
+        let bad =
+            format!("[dependencies]\nserde = \"1.0\"\nrand = {{ path = \"../rand\" }}\n{LINTS}");
+        let v = lint_manifest("crates/x/Cargo.toml", &bad);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].line, 2);
-        let good = "[dependencies]\nrand = { workspace = true }\n\n[dev-dependencies]\nproptest = { path = \"../../vendor/proptest\" }\n";
-        assert!(lint_manifest("crates/x/Cargo.toml", good).is_empty());
+        let good = format!(
+            "[dependencies]\nrand = {{ workspace = true }}\n\n[dev-dependencies]\n\
+             proptest = {{ path = \"../../vendor/proptest\" }}\n{LINTS}"
+        );
+        assert!(lint_manifest("crates/x/Cargo.toml", &good).is_empty());
     }
 
     #[test]
     fn manifest_git_dep_is_flagged() {
-        let bad = "[dependencies]\nfoo = { git = \"https://example.com/foo\" }\n";
-        assert_eq!(lint_manifest("crates/x/Cargo.toml", bad).len(), 1);
+        let bad = format!("[dependencies]\nfoo = {{ git = \"https://example.com/foo\" }}\n{LINTS}");
+        assert_eq!(lint_manifest("crates/x/Cargo.toml", &bad).len(), 1);
     }
 }

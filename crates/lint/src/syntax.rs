@@ -1,9 +1,9 @@
 //! Brace-matched item-tree parser over the [`crate::lexer`] token stream.
 //!
-//! The token-level rules (R1–R8) only need to know *which* tokens exist;
-//! the flow-aware rules (R9–R12) need to know *where* they live: which
-//! `fn` a call sits in, whether that `fn` is inside a `#[cfg(test)]`
-//! region, which `impl` block owns a method. This module recovers exactly
+//! The token-level rules only need to know *which* tokens exist; the
+//! call-graph rule (R9) needs to know *where* they live: which `fn` a
+//! call sits in, whether that `fn` is inside a `#[cfg(test)]` region,
+//! which `impl` block owns a method. This module recovers exactly
 //! that structure — modules, functions, impls, traits and `use`
 //! declarations, each with its brace-matched token span — without a full
 //! Rust grammar.

@@ -8,8 +8,8 @@ use std::path::{Path, PathBuf};
 use planaria_lint::baseline::{Baseline, BASELINE_SCHEMA};
 use planaria_lint::run_workspace;
 
-/// Builds `<tmp>/<name>` containing a one-crate workspace whose lib.rs
-/// has both crate-root attributes plus one seeded R7 violation.
+/// Builds `<tmp>/<name>` containing a one-crate workspace whose member
+/// inherits the workspace lints and whose lib.rs seeds one R12 violation.
 fn mini_workspace(name: &str) -> PathBuf {
     let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
     if root.exists() {
@@ -20,13 +20,14 @@ fn mini_workspace(name: &str) -> PathBuf {
         .expect("root manifest");
     fs::write(
         root.join("crates/demo/Cargo.toml"),
-        "[package]\nname = \"demo\"\nversion = \"0.1.0\"\nedition = \"2021\"\n",
+        "[package]\nname = \"demo\"\nversion = \"0.1.0\"\nedition = \"2021\"\n\n\
+         [lints]\nworkspace = true\n",
     )
     .expect("member manifest");
     fs::write(
         root.join("crates/demo/src/lib.rs"),
-        "//! Demo crate.\n#![forbid(unsafe_code)]\n#![warn(missing_docs)]\n\n\
-         /// Unfinished.\npub fn stub() {\n    todo!()\n}\n",
+        "//! Demo crate.\n\n/// Unbounded.\npub fn queue() {\n    \
+         let (_tx, _rx) = std::sync::mpsc::channel::<u8>();\n}\n",
     )
     .expect("seeded source");
     root
@@ -43,7 +44,7 @@ fn seeded_violation_dirties_the_outcome() {
     let outcome = run_workspace(&root, &Baseline::default()).expect("scan succeeds");
     assert!(!outcome.is_clean());
     assert_eq!(outcome.violations.len(), 1, "{:?}", outcome.violations);
-    assert_eq!(outcome.violations[0].rule, "R7");
+    assert_eq!(outcome.violations[0].rule, "R12");
     assert_eq!(outcome.violations[0].file, "crates/demo/src/lib.rs");
     assert_eq!(outcome.files_scanned, 3, "root manifest, member manifest, lib.rs");
 }
@@ -52,7 +53,7 @@ fn seeded_violation_dirties_the_outcome() {
 fn justified_baseline_entry_suppresses_the_violation() {
     let root = mini_workspace("lint_negative_suppressed");
     let b = baseline(
-        "{\"rule\": \"R7\", \"file\": \"crates/demo/src/lib.rs\", \"pattern\": \"todo\", \
+        "{\"rule\": \"R12\", \"file\": \"crates/demo/src/lib.rs\", \"pattern\": \"channel\", \
          \"justification\": \"demo stub, tracked in ROADMAP\"}",
     );
     let outcome = run_workspace(&root, &b).expect("scan succeeds");
@@ -66,7 +67,7 @@ fn justified_baseline_entry_suppresses_the_violation() {
 fn non_matching_baseline_entry_is_stale_and_fails_check() {
     let root = mini_workspace("lint_negative_stale");
     let b = baseline(
-        "{\"rule\": \"R3\", \"file\": \"crates/demo/src/gone.rs\", \"pattern\": \"unwrap\", \
+        "{\"rule\": \"R12\", \"file\": \"crates/demo/src/gone.rs\", \"pattern\": \"channel\", \
          \"justification\": \"site was deleted long ago\"}",
     );
     let outcome = run_workspace(&root, &b).expect("scan succeeds");

@@ -1,4 +1,5 @@
-//! Fixture: default-hasher map in a hot-path crate (fires only R1).
+//! Fixture: default-hasher map in a hot-path crate (retired R1: fails
+//! clippy's `disallowed_types` under a hot crate root's deny).
 
 use std::collections::HashMap;
 

@@ -1,4 +1,5 @@
-//! Fixture: wall-clock read inside simulated code (fires only R2).
+//! Fixture: wall-clock read inside simulated code (retired R2: fails
+//! clippy's `disallowed_methods`).
 
 use std::time::Instant;
 

@@ -1,5 +1,6 @@
 //! Fixture: float accumulation in hash-map iteration order (fires only
-//! R5 — the file lives in a non-hot crate so `HashMap` itself is legal).
+//! R10, which absorbed the retired R5 — `HashMap` itself is legal in a
+//! non-hot crate).
 
 use std::collections::HashMap;
 

@@ -1,10 +1,10 @@
 //! R9 fixture: `entry` never names a clock, but reaches one through
-//! `stamp`. The token scan (R2) sees only `stamp`; the call-graph pass
-//! must taint `entry` too.
+//! `stamp`. Clippy's `disallowed_methods` sees only `stamp`; the
+//! call-graph pass must taint `entry` too.
 
 use std::time::Instant;
 
-/// Direct wall-clock read — this site belongs to R2, not R9.
+/// Direct wall-clock read — this site belongs to clippy, not R9.
 pub fn stamp() -> Instant {
     Instant::now()
 }

@@ -1,8 +1,5 @@
 //! Fixture: a crate root using the sanctioned counterpart of every rule
-//! — lints completely clean even under the hot-crate rule set.
-
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+//! — lints completely clean even as a hot crate.
 
 use planaria_common::json;
 use planaria_hash::FastHashMap;
@@ -10,15 +7,15 @@ use planaria_hash::FastHashMap;
 /// Schema id, emitted through the shared json helpers below (R6-clean).
 pub const SCHEMA: &str = "planaria-demo-v1";
 
-/// Deterministic hashing (R1-clean) and order-independent float
-/// accumulation: keys are sorted before summing (R5-clean).
+/// Deterministic hashing and order-independent float accumulation: keys
+/// are sorted before summing (R10-clean).
 pub fn total(map: &FastHashMap<u32, f64>) -> f64 {
     let mut keys: Vec<u32> = map.keys().copied().collect();
     keys.sort_unstable();
     keys.iter().map(|k| *map.get(k).expect("key came from this map")).sum::<f64>()
 }
 
-/// `expect` with an invariant message is the sanctioned form (R3-clean).
+/// `expect` with an invariant message is the sanctioned form.
 pub fn head(xs: &[u32]) -> u32 {
     *xs.first().expect("caller guarantees a non-empty slice")
 }

@@ -1,6 +1,5 @@
-//! Clean-flow fixture: the sanctioned counterparts of rules R9–R12.
-//! Linted under `crates/trace/src/io.rs`, so the narrowing-cast and
-//! hot-crate checks are all live.
+//! Clean-flow fixture: the sanctioned counterparts of rules R9, R10 and
+//! R12. Linted under `crates/trace/src/io.rs`, a hot-crate parsing module.
 
 use std::collections::BTreeMap;
 
@@ -27,7 +26,7 @@ pub fn sorted_pages(by_page: &FastHashMap<u64, u64>) -> Vec<u64> {
     pages
 }
 
-/// Checked narrowing with a surfaced error (R11 clean).
+/// Checked narrowing with a surfaced error.
 pub fn checked_len(count: u64) -> Result<usize, String> {
     usize::try_from(count).map_err(|_| format!("count {count} exceeds usize"))
 }

@@ -49,9 +49,6 @@
 //! assert_eq!(report.total_accesses(), 2_000);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod device;
 mod service;
 mod shard;

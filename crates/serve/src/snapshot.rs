@@ -15,6 +15,8 @@
 //! the cost is restore time proportional to the elapsed session, which
 //! SERVING.md documents as the accepted v1 trade-off.
 
+#![deny(clippy::cast_possible_truncation)]
+
 use planaria_common::json::{Value, Writer};
 use planaria_sim::{PrefetcherKind, SystemConfig};
 use planaria_trace::apps::AppId;
@@ -63,6 +65,7 @@ fn str_field<'a>(doc: &'a Value, key: &str) -> Result<&'a str, String> {
 /// Reads a numeric field. The vendored parser carries numbers as `f64`,
 /// which is lossless only below 2^53 — fine for the counts stored
 /// numerically; full-range u64 fields (`seed`, `home_page`) are strings.
+#[allow(clippy::cast_possible_truncation, reason = "range-checked to an integer in 0..=2^53")]
 fn num_field(doc: &Value, key: &str) -> Result<u64, String> {
     let v = doc
         .get(key)
@@ -278,6 +281,17 @@ mod tests {
         let spec = crate::DeviceSpec::new(1, AppId::HoK);
         let mut dev = ServedDevice::external(spec);
         assert!(dev.snapshot().unwrap_err().contains("externally fed"));
+    }
+
+    #[test]
+    fn num_field_admits_only_exact_counts() {
+        let doc = |v: &str| planaria_common::json::parse(&format!("{{\"n\": {v}}}")).unwrap();
+        assert_eq!(num_field(&doc("0"), "n"), Ok(0));
+        assert_eq!(num_field(&doc("9007199254740992"), "n"), Ok(1 << 53));
+        // -1, a fraction, 2^53 + 2 (the next f64 above 2^53) and a string.
+        for bad in ["-1", "0.5", "9007199254740994", "\"7\""] {
+            assert!(num_field(&doc(bad), "n").is_err(), "{bad} must be rejected");
+        }
     }
 
     #[test]

@@ -48,8 +48,7 @@
 //! assert!(result.amat_cycles > 0.0);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(clippy::disallowed_types)]
 
 pub mod experiment;
 pub mod ipc;

@@ -20,8 +20,10 @@
 //! the output is bit-identical to a serial run regardless of thread
 //! count (`tests/parallel_engine.rs` asserts this).
 
+#![allow(clippy::disallowed_methods)]
+
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use planaria_hash::FastHashMap;
@@ -163,8 +165,9 @@ type ProgressFn = Arc<dyn Fn(ProgressEvent<'_>) + Send + Sync>;
 /// (the outer mutex only guards slot lookup, so two workers needing
 /// *different* traces build concurrently while two needing the *same*
 /// trace share one build).
+#[allow(clippy::disallowed_types, reason = "locked once per cell for a slot, never per access")]
 struct TraceCache {
-    slots: Mutex<FastHashMap<(AppId, usize), Arc<CacheEntry>>>,
+    slots: std::sync::Mutex<FastHashMap<(AppId, usize), Arc<CacheEntry>>>,
     builds: AtomicUsize,
 }
 
@@ -176,8 +179,9 @@ struct CacheEntry {
 }
 
 impl TraceCache {
+    #[allow(clippy::disallowed_types, reason = "builds the reviewed per-batch lock")]
     fn new() -> Self {
-        Self { slots: Mutex::new(FastHashMap::default()), builds: AtomicUsize::new(0) }
+        Self { slots: std::sync::Mutex::new(FastHashMap::default()), builds: AtomicUsize::new(0) }
     }
 
     fn entry(&self, app: AppId, length: usize) -> Arc<CacheEntry> {
@@ -519,8 +523,9 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::disallowed_types, reason = "test-only sink shared with the progress hook")]
     fn progress_callback_fires_in_order_per_cell() {
-        let samples = Arc::new(Mutex::new(Vec::new()));
+        let samples = Arc::new(std::sync::Mutex::new(Vec::new()));
         let sink = Arc::clone(&samples);
         let runner = Runner::serial().progress_every(500).with_progress(move |e| {
             sink.lock().unwrap().push((e.job, e.done, e.hit_rate));

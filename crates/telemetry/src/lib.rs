@@ -50,9 +50,6 @@
 //! assert_eq!(report.events.len(), 1);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod event;
 mod report;
 mod sink;

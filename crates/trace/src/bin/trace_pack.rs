@@ -14,6 +14,8 @@
 //! stream-copies an existing v1 file. `info` replays a v1 file in constant
 //! memory and prints its header and per-device histogram.
 
+#![allow(clippy::disallowed_methods)]
+
 use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read};

@@ -10,6 +10,8 @@
 //! Formats are selected by extension: `.bin` is the compact binary format,
 //! anything else is the human-readable text format.
 
+#![allow(clippy::disallowed_methods)]
+
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
 use std::path::Path;

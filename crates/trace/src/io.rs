@@ -18,6 +18,8 @@
 //! is trusted: readers fail with a specific [`ParseTraceError`] variant
 //! instead of over-allocating or misparsing on corrupt input.
 
+#![deny(clippy::cast_possible_truncation)]
+
 use std::fmt;
 use std::io::{self, BufRead, BufReader, Read, Write};
 

@@ -42,8 +42,7 @@
 //! assert!(trace.unique_pages() > 10);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(clippy::disallowed_types)]
 
 pub mod apps;
 pub mod filter;

@@ -195,7 +195,7 @@ fn mutate_footprint(rng: &mut rand::rngs::StdRng, fp: &mut Bitmap64, bits: usize
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
 
     fn gen(spec: &FootprintSpec, count: usize) -> Vec<MemAccess> {
         let mut out = Vec::new();
@@ -229,8 +229,8 @@ mod tests {
         };
         let out = gen(&spec, 4 * 8 * 5); // five full rounds
                                          // Each page's set of blocks must be identical across visits.
-        let mut per_page: HashMap<u64, Bitmap64> = HashMap::new();
-        let mut counts: HashMap<u64, usize> = HashMap::new();
+        let mut per_page: BTreeMap<u64, Bitmap64> = BTreeMap::new();
+        let mut counts: BTreeMap<u64, usize> = BTreeMap::new();
         for a in &out {
             let p = a.addr.page().as_u64();
             per_page.entry(p).or_insert(Bitmap64::EMPTY).set(a.addr.block_index().as_usize());

@@ -276,7 +276,7 @@ mod tests {
         let spec = StreamSpec { run_blocks: 10, ..StreamSpec::default() };
         let mut out = Vec::new();
         spec.generate(1, 50, PageNum::new(1 << 24), &mut out);
-        let unique: std::collections::HashSet<u64> = out.iter().map(|a| a.addr.as_u64()).collect();
+        let unique: std::collections::BTreeSet<u64> = out.iter().map(|a| a.addr.as_u64()).collect();
         assert_eq!(unique.len(), 50, "runs reused addresses");
     }
 
