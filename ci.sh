@@ -37,6 +37,22 @@ if [[ "${1:-}" != "fast" ]]; then
     CARGO_TARGET_DIR=target/perfbench cargo test --release --offline \
         --manifest-path perfbench/Cargo.toml
 
+    step "perfbench pinned results (seed-0 runs must match perfbench/src/expected.rs)"
+    # The tests above never run a workload, so a hot-path change that moves
+    # a pinned seed-0 fingerprint would pass them. A one-second run checks
+    # every operation of its workload against the pinned digests; its last
+    # stdout line is the result object.
+    for w in open-planaria open-bop-packed served-fleet; do
+        line=$(CARGO_TARGET_DIR=target/perfbench cargo run --release --offline --quiet \
+            --manifest-path perfbench/Cargo.toml -- \
+            --workload "$w" --seed 0 --seconds 1 --trace 0 | tail -n 1)
+        if [[ "$line" != *'"correct":true'* || "$line" != *'"failed":0,'* ]]; then
+            echo "perfbench $w: pinned results do not match: $line"
+            exit 1
+        fi
+        echo "perfbench $w: correct, 0 failed"
+    done
+
     step "perf baseline (single-thread throughput -> target/ci_perf.json)"
     # Measure into target/ so the gate never rewrites the committed
     # BENCH_perf.json; refresh that file deliberately with a bare

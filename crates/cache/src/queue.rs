@@ -76,28 +76,6 @@ impl PrefetchQueue {
         Some(req)
     }
 
-    /// Re-stages a request at the *front* of the queue (head-of-line
-    /// position), subject to the same dedup and capacity rules as
-    /// [`PrefetchQueue::push`]. Used when a popped request cannot issue
-    /// yet (its DRAM channel is full) and must keep its place.
-    ///
-    /// Unlike `push`, an accepted re-stage does not count into `enqueued`:
-    /// the request was already counted when it first entered the queue.
-    pub fn push_front(&mut self, req: PrefetchRequest) -> bool {
-        let block = req.addr.block_number();
-        if self.pending_blocks.contains(&block) {
-            self.dropped_duplicate += 1;
-            return false;
-        }
-        if self.queue.len() >= self.capacity {
-            self.dropped_full += 1;
-            return false;
-        }
-        self.pending_blocks.insert(block);
-        self.queue.push_front(req);
-        true
-    }
-
     /// The oldest queued request, without dequeuing it.
     pub fn peek(&self) -> Option<&PrefetchRequest> {
         self.queue.front()
@@ -164,33 +142,6 @@ mod tests {
         q.push(req(0x40));
         q.pop();
         assert!(q.push(req(0x40)), "block no longer pending");
-    }
-
-    #[test]
-    fn push_front_takes_head_position() {
-        let mut q = PrefetchQueue::new(4);
-        q.push(req(0x40));
-        q.push(req(0x80));
-        let head = q.pop().unwrap();
-        assert!(q.push_front(head));
-        assert_eq!(q.pop().map(|r| r.addr.as_u64()), Some(0x40), "re-staged head first");
-        assert_eq!(q.pop().map(|r| r.addr.as_u64()), Some(0x80));
-    }
-
-    #[test]
-    fn push_front_respects_dedup_and_capacity() {
-        let mut q = PrefetchQueue::new(2);
-        q.push(req(0x40));
-        q.push(req(0x80));
-        assert!(!q.push_front(req(0x40)), "duplicate block rejected");
-        assert!(!q.push_front(req(0xc0)), "full queue rejected");
-        assert_eq!(q.dropped_duplicate, 1);
-        assert_eq!(q.dropped_full, 1);
-        // Re-stage does not inflate the accepted-request counter.
-        let before = q.enqueued;
-        let head = q.pop().unwrap();
-        assert!(q.push_front(head));
-        assert_eq!(q.enqueued, before);
     }
 
     #[test]

@@ -481,8 +481,8 @@ impl PatternTable {
 
     pub(crate) fn with_merge(capacity: usize, merge: PatternMerge) -> Self {
         assert!(capacity > 0, "PT capacity must be positive");
-        // One spare slot: insertion precedes the FIFO eviction sweep, so
-        // the table transiently holds `capacity + 1` live entries.
+        // One spare slot: insertion precedes the FIFO eviction, so the
+        // table transiently holds `capacity + 1` live entries.
         Self {
             slots: SlotMap::new(capacity + 1),
             bitmaps: vec![Bitmap16::EMPTY; capacity + 1],
@@ -511,9 +511,12 @@ impl PatternTable {
                     let both = self.bitmaps[slot].and(bitmap);
                     if both.is_empty() {
                         // An unstable pattern carries no signal: drop the
-                        // entry (the fifo slot goes stale and is skipped
-                        // at eviction).
+                        // entry and its FIFO position together, so every
+                        // FIFO entry names a live page and a re-learned
+                        // page queues afresh at the back.
                         self.slots.release(page);
+                        let pos = self.fifo.iter().position(|&p| p == page);
+                        self.fifo.remove(pos.expect("the FIFO holds every live page"));
                         return;
                     }
                     both
@@ -525,13 +528,11 @@ impl PatternTable {
         let slot = self.slots.alloc(page);
         self.bitmaps[slot] = bitmap;
         self.fifo.push_back(page);
-        while self.slots.len() > self.capacity {
-            if let Some(victim) = self.fifo.pop_front() {
-                self.slots.release(victim);
-            } else {
-                break;
-            }
+        if self.slots.len() > self.capacity {
+            let victim = self.fifo.pop_front().expect("the FIFO holds every live page");
+            self.slots.release(victim);
         }
+        debug_assert_eq!(self.fifo.len(), self.slots.len(), "a FIFO entry outlived its page");
     }
 
     /// The learned snapshot for `page`, if any.
@@ -882,9 +883,8 @@ mod tests {
 
     #[test]
     fn pt_stale_fifo_entries_are_skipped_at_eviction() {
-        // Intersect can drop an entry, leaving its FIFO slot stale. The
-        // eviction sweep must skip stale victims (they free no live entry)
-        // and keep popping until a live one goes.
+        // Intersect can drop an entry. Its FIFO position goes with it, so
+        // the eviction takes the oldest live page.
         let mut pt = PatternTable::with_merge(2, PatternMerge::Intersect);
         pt.insert(1, Bitmap16::from_bits(0b01));
         pt.insert(1, Bitmap16::from_bits(0b10)); // disjoint: entry dropped
@@ -896,6 +896,23 @@ mod tests {
         assert!(pt.lookup(2).is_none(), "page 2 was the live FIFO head");
         assert!(pt.lookup(3).is_some());
         assert!(pt.lookup(4).is_some());
+    }
+
+    #[test]
+    fn pt_relearned_page_after_intersect_drop_queues_afresh() {
+        // Page 1 is dropped, then re-learned after page 2: page 2 is now
+        // the oldest live entry and must be the one evicted. A FIFO entry
+        // left behind by the drop would evict the re-learned page 1 first.
+        let mut pt = PatternTable::with_merge(2, PatternMerge::Intersect);
+        pt.insert(1, Bitmap16::from_bits(0b01));
+        pt.insert(1, Bitmap16::from_bits(0b10)); // disjoint: entry dropped
+        pt.insert(2, Bitmap16::from_bits(0b1));
+        pt.insert(1, Bitmap16::from_bits(0b1));
+        pt.insert(3, Bitmap16::from_bits(0b1)); // over capacity
+        assert_eq!(pt.len(), 2);
+        assert!(pt.lookup(2).is_none(), "page 2 is the oldest live entry");
+        assert!(pt.lookup(1).is_some(), "the re-learned page 1 is newer than page 2");
+        assert!(pt.lookup(3).is_some());
     }
 
     #[test]

@@ -17,7 +17,6 @@ use planaria_common::{
     Bitmap16, Cycle, MemAccess, PageNum, PhysAddr, PrefetchOrigin, PrefetchRequest, SegmentIndex,
     NUM_CHANNELS,
 };
-use planaria_hash::FixedIndex;
 use planaria_telemetry::{
     EventData, EventKind, Telemetry, TelemetryConfig, TelemetryReport, TransferReject,
 };
@@ -50,48 +49,47 @@ impl Default for TlpConfig {
 
 /// One channel's TLP instance with decoupled learning/issuing phases.
 ///
-/// The RPT is stored struct-of-arrays: the associative page lookup runs
-/// on every single access and is served by a fixed-capacity open-addressed
-/// index (`page → slot`), while the allocation-path LRU victim scan walks
-/// the dense `lasts` array instead of 40-byte `Option` entries.
+/// The RPT is stored struct-of-arrays over slots (`pages`, `bitmaps`,
+/// `lasts`) plus two orders over the occupied slots:
+///
+/// - `by_page`, every `(page, slot)` sorted by page. The associative page
+///   lookup runs on every access and is a binary search behind a
+///   one-entry memo.
+/// - `recency`, an exact LRU list, so allocation finds its victim at the
+///   list head instead of scanning every timestamp.
 ///
 /// The paper's per-entry Ref bits are not materialised. The Ref matrix is
 /// symmetric and fully determined by the live page numbers (`bit (i, j)` ⇔
 /// `|PN_i − PN_j| ≤ distance`), so the hardware's allocation-time pairwise
 /// recomputation — an O(entries) read-modify-write over every row's u128,
-/// on ~a third of all accesses in the Table 2 mix — is replaced by a
-/// branchless on-demand row build over the dense `pages` array on the
-/// issue path, which the compiler vectorises. The storage model still
-/// accounts the Ref bits (the hardware holds them; the simulator derives
-/// them), and the derived row is bit-identical to the maintained one.
+/// on ~a third of all accesses in the Table 2 mix — is replaced by reading
+/// the row off `by_page` on the issue path: a page's neighbours are the
+/// contiguous run of entries around it within the distance, typically
+/// zero or one of them. The storage model still accounts the Ref bits (the
+/// hardware holds them; the simulator derives them), and the derived row is
+/// bit-identical to the maintained one.
 #[derive(Debug, Clone)]
 pub(crate) struct ChannelTlp {
     segment: usize,
     cfg: TlpConfig,
-    /// `page → slot` index mirroring `pages` (pages are unique per table).
-    index: FixedIndex,
-    /// Page number of each slot; valid for slots below `filled`.
+    /// `(page, slot)` of every occupied slot, sorted by page (pages are
+    /// unique per table). Slots are never freed, so its length is the
+    /// occupancy and the occupied slots are exactly `0..by_page.len()`.
+    by_page: Vec<(u64, u32)>,
+    /// Page number of each occupied slot.
     pages: Vec<u64>,
     /// Recently-accessed-blocks bitmap per slot.
     bitmaps: Vec<Bitmap16>,
     /// Last-touch cycle per slot (LRU victim selection).
     lasts: Vec<Cycle>,
-    /// Slots handed out so far; slots are never freed, so the first
-    /// `filled` entries are exactly the occupied ones.
-    filled: usize,
-    /// One-entry lookup memo `(page, slot)` exploiting page-burst
-    /// locality: consecutive accesses overwhelmingly hit the same page,
-    /// and `learn` + `issue` on a miss look the same page up twice. The
-    /// mapping only changes on allocation, which refreshes the memo.
+    /// The occupied slots in `(last, touch order)` order.
+    recency: Recency,
+    /// One-entry lookup memo `(page, position in by_page)` exploiting
+    /// page-burst locality: consecutive accesses overwhelmingly hit the
+    /// same page, and `learn` + `issue` on a miss look the same page up
+    /// twice. Positions only move on allocation, which refreshes the memo.
     /// `u64::MAX` is never a real page number (pages are `addr >> 12`).
     last_lookup: (u64, u32),
-    /// Bumped on every allocation — the only event that changes any
-    /// derived Ref row (see [`ChannelTlp::ref_row`]).
-    epoch: u64,
-    /// One-entry derived-row memo `(slot, epoch, row)`: demand misses
-    /// arrive in page bursts, so consecutive `issue` calls rebuild the
-    /// same slot's row until the next allocation invalidates it.
-    row_memo: (u32, u64, u128),
     pub(crate) accesses: u64,
 }
 
@@ -105,53 +103,68 @@ impl ChannelTlp {
         Self {
             segment,
             cfg: *cfg,
-            index: FixedIndex::with_capacity(cfg.entries),
+            by_page: Vec::with_capacity(cfg.entries),
             pages: vec![0; cfg.entries],
             bitmaps: vec![Bitmap16::EMPTY; cfg.entries],
             lasts: vec![Cycle::ZERO; cfg.entries],
-            filled: 0,
+            recency: Recency::new(cfg.entries),
             last_lookup: (u64::MAX, 0),
-            epoch: 0,
-            row_memo: (u32::MAX, 0, 0),
             accesses: 0,
         }
     }
 
-    fn slot_of(&mut self, page: u64) -> Option<usize> {
+    /// `page`'s position in `by_page`, or the position it would be
+    /// inserted at.
+    #[inline]
+    fn find(&mut self, page: u64) -> Result<usize, usize> {
         if self.last_lookup.0 == page {
-            return Some(self.last_lookup.1 as usize);
+            return Ok(self.last_lookup.1 as usize);
         }
-        let slot = self.index.get(page)?;
-        self.last_lookup = (page, slot);
-        Some(slot as usize)
+        let found = self.by_page.binary_search_by_key(&page, |&(p, _)| p);
+        if let Ok(at) = found {
+            self.last_lookup = (page, at as u32);
+        }
+        found
     }
 
     /// Learning phase: record (page, segment offset) at `now`.
     pub(crate) fn learn(&mut self, page: u64, offset: usize, now: Cycle, tel: &mut Telemetry) {
         self.accesses += 1;
-        if let Some(i) = self.slot_of(page) {
-            self.bitmaps[i].set(offset);
-            self.lasts[i] = now;
-            return;
-        }
-        // Allocate: empty slot first, else LRU victim.
-        let (victim, evicted) = if self.filled < self.pages.len() {
-            let v = self.filled;
-            self.filled += 1;
-            (v, false)
-        } else {
-            // First-minimum scan (the `min_by_key` contract): strict `<`
-            // keeps the earliest slot among equal timestamps, and the
-            // arithmetic selects compile without a data-dependent branch.
-            let mut min_t = self.lasts[0];
-            let mut v = 0usize;
-            for (i, &t) in self.lasts[1..self.filled].iter().enumerate() {
-                let better = t < min_t;
-                min_t = if better { t } else { min_t };
-                v = if better { i + 1 } else { v };
+        let at = match self.find(page) {
+            Ok(at) => {
+                let i = self.by_page[at].1 as usize;
+                self.bitmaps[i].set(offset);
+                self.lasts[i] = now;
+                self.recency.touch(i, &self.lasts);
+                return;
             }
-            self.index.remove(self.pages[v]);
-            (v, true)
+            Err(at) => at,
+        };
+        // Allocate: empty slot first, else LRU victim.
+        let filled = self.by_page.len();
+        let (victim, at, evicted) = if filled < self.pages.len() {
+            self.by_page.insert(at, (page, filled as u32));
+            (filled, at, false)
+        } else {
+            let v = self.recency.victim(&self.lasts);
+            debug_assert_eq!(v, lru_scan(&self.lasts), "recency list diverged from the LRU scan");
+            self.recency.unlink(v);
+            // Slide the victim's sorted entry to the newcomer's position:
+            // one shift of the entries in between, instead of a removal
+            // and an insertion that each move the whole tail.
+            let from = self
+                .by_page
+                .binary_search_by_key(&self.pages[v], |&(p, _)| p)
+                .expect("every occupied slot is in by_page");
+            let at = if from < at {
+                self.by_page[from..at].rotate_left(1);
+                at - 1
+            } else {
+                self.by_page[at..=from].rotate_right(1);
+                at
+            };
+            self.by_page[at] = (page, v as u32);
+            (v, at, true)
         };
         tel.emit(EventKind::TlpRptAllocate, now, self.segment as u8, || {
             EventData::TlpRptAllocate { page, evicted }
@@ -160,39 +173,31 @@ impl ChannelTlp {
         // newcomer's row and patches its column in every other row (paper
         // §4.2), but both are pure functions of the live page numbers, so
         // [`ChannelTlp::ref_row`] derives them on demand instead.
-        self.index.insert(page, victim as u32);
-        self.epoch += 1;
         // The victim slot's old page is gone; the newcomer owns the memo.
-        self.last_lookup = (page, victim as u32);
+        self.last_lookup = (page, at as u32);
         self.pages[victim] = page;
         self.bitmaps[victim] = Bitmap16::EMPTY.with(offset);
         self.lasts[victim] = now;
+        self.recency.insert(victim, &self.lasts);
     }
 
-    /// Entry `i`'s Ref row, derived from the live page numbers: bit `j`
-    /// set ⇔ `|PN_i − PN_j| ≤ distance_threshold` and `j ≠ i`. Branchless —
-    /// each slot's neighbour verdict widens to an all-ones / all-zeros
-    /// mask and the one-hot bit advances by a shift of one — so the
-    /// compiler vectorises the sweep over the dense `pages` array.
-    /// Rows are pure functions of the live pages, which change only on
-    /// allocation, so a one-entry `(slot, epoch)` memo serves page bursts
-    /// without rebuilding.
+    /// The Ref row of the entry at `by_page[at]`, derived from the live
+    /// page numbers: bit `j` set ⇔ `|PN_i − PN_j| ≤ distance_threshold`
+    /// and `j ≠ i`. Those entries are the contiguous run of `by_page`
+    /// within `[PN_i − d, PN_i + d]`, so the row is built by walking out
+    /// from `at` in both directions until the distance is exceeded — work
+    /// proportional to the neighbour count, not to the table size.
     #[inline]
-    fn ref_row(&mut self, i: usize) -> u128 {
-        if self.row_memo.0 == i as u32 && self.row_memo.1 == self.epoch {
-            return self.row_memo.2;
-        }
-        let my_page = self.pages[i];
+    fn ref_row(&self, at: usize) -> u128 {
+        let page = self.by_page[at].0;
         let d = self.cfg.distance_threshold;
         let mut row = 0u128;
-        let mut bit = 1u128;
-        for &p in &self.pages[..self.filled] {
-            let near = 0u128.wrapping_sub((p.abs_diff(my_page) <= d) as u128);
-            row |= bit & near;
-            bit <<= 1;
+        for &(_, slot) in self.by_page[..at].iter().rev().take_while(|&&(p, _)| page - p <= d) {
+            row |= 1u128 << slot;
         }
-        row &= !(1u128 << i);
-        self.row_memo = (i as u32, self.epoch, row);
+        for &(_, slot) in self.by_page[at + 1..].iter().take_while(|&&(p, _)| p - page <= d) {
+            row |= 1u128 << slot;
+        }
         row
     }
 
@@ -213,12 +218,12 @@ impl ChannelTlp {
                 EventData::TlpTransferReject { page, reason }
             });
         };
-        let Some(i) = self.slot_of(page) else {
+        let Ok(at) = self.find(page) else {
             reject(tel, TransferReject::NoEntry);
             return;
         };
-        let my_bitmap = self.bitmaps[i];
-        let refs = self.ref_row(i);
+        let my_bitmap = self.bitmaps[self.by_page[at].1 as usize];
+        let refs = self.ref_row(at);
         let neighbours = refs.count_ones() as u8;
         // Popcount best-candidate scan over the Ref-flagged set bits.
         // Seeding the running best at `min_common_bits − 1` folds the
@@ -231,8 +236,8 @@ impl ChannelTlp {
         let mut best_c = self.cfg.min_common_bits as isize - 1;
         let mut best_j = usize::MAX;
         let mut best_any: usize = 0;
-        // Ref bits only ever point at occupied slots (slots are never
-        // freed, and eviction clears the departing slot's bit everywhere).
+        // Ref bits only ever point at occupied slots: the row is built
+        // from `by_page`, which holds exactly the live entries.
         let mut rest = refs;
         while rest != 0 {
             let j = rest.trailing_zeros() as usize;
@@ -281,8 +286,101 @@ impl ChannelTlp {
     }
 
     pub(crate) fn occupancy(&self) -> usize {
-        self.filled
+        self.by_page.len()
     }
+}
+
+/// Sentinel for "no slot" in [`Recency`]'s links (slots are `0..128`).
+const NIL: u8 = u8::MAX;
+
+/// The RPT's exact recency order: a doubly-linked list over the occupied
+/// slots sorted by `(last, touch order)`, least recent at the head. Time
+/// almost always moves forward, so a touch or an allocation appends at
+/// the tail in O(1); a stamp earlier than the tail's walks back to its
+/// sorted position. The slots sharing the head's stamp form the head's
+/// run, and the LRU victim is the lowest slot among them — the same
+/// first-minimum pick as a linear scan of the timestamps in slot order.
+#[derive(Debug, Clone)]
+struct Recency {
+    prev: Vec<u8>,
+    next: Vec<u8>,
+    head: u8,
+    tail: u8,
+}
+
+impl Recency {
+    fn new(slots: usize) -> Self {
+        Self { prev: vec![NIL; slots], next: vec![NIL; slots], head: NIL, tail: NIL }
+    }
+
+    /// Removes occupied slot `i` from the list.
+    fn unlink(&mut self, i: usize) {
+        let (p, n) = (self.prev[i], self.next[i]);
+        match p {
+            NIL => self.head = n,
+            p => self.next[p as usize] = n,
+        }
+        match n {
+            NIL => self.tail = p,
+            n => self.prev[n as usize] = p,
+        }
+    }
+
+    /// Links unlisted slot `i` in after every slot whose stamp is at most
+    /// `lasts[i]`, walking back from the tail.
+    fn insert(&mut self, i: usize, lasts: &[Cycle]) {
+        let mut p = self.tail;
+        while p != NIL && lasts[p as usize] > lasts[i] {
+            p = self.prev[p as usize];
+        }
+        let n = match p {
+            NIL => std::mem::replace(&mut self.head, i as u8),
+            p => std::mem::replace(&mut self.next[p as usize], i as u8),
+        };
+        match n {
+            NIL => self.tail = i as u8,
+            n => self.prev[n as usize] = i as u8,
+        }
+        (self.prev[i], self.next[i]) = (p, n);
+    }
+
+    /// Moves slot `i` to its place after its stamp `lasts[i]` changed.
+    /// Page bursts re-touch the tail, which stays put unless its new stamp
+    /// went below its predecessor's.
+    #[inline]
+    fn touch(&mut self, i: usize, lasts: &[Cycle]) {
+        let p = self.prev[i];
+        if i == self.tail as usize && (p == NIL || lasts[p as usize] <= lasts[i]) {
+            return;
+        }
+        self.unlink(i);
+        self.insert(i, lasts);
+    }
+
+    /// The LRU victim: the lowest slot in the head's run of equal stamps.
+    fn victim(&self, lasts: &[Cycle]) -> usize {
+        let oldest = lasts[self.head as usize];
+        let mut victim = self.head;
+        let mut j = self.next[self.head as usize];
+        while j != NIL && lasts[j as usize] == oldest {
+            victim = victim.min(j);
+            j = self.next[j as usize];
+        }
+        victim as usize
+    }
+}
+
+/// The linear first-minimum LRU scan the recency list replaced, kept as
+/// the debug-build oracle for [`Recency::victim`]: the earliest slot among
+/// the minimal timestamps.
+fn lru_scan(lasts: &[Cycle]) -> usize {
+    let mut v = 0;
+    for (i, &t) in lasts.iter().enumerate() {
+        if t < lasts[v] {
+            v = i;
+        }
+    }
+    v
 }
 
 /// The standalone four-channel TLP prefetcher (Figure 9's "TLP-only").
@@ -371,7 +469,7 @@ mod tests {
     /// Naive Ref row: the paper's pairwise predicate, slot by slot.
     fn pairwise_ref_row(ch: &ChannelTlp, i: usize) -> u128 {
         let mut row = 0u128;
-        for j in 0..ch.filled {
+        for j in 0..ch.occupancy() {
             if j != i && ch.pages[j].abs_diff(ch.pages[i]) <= ch.cfg.distance_threshold {
                 row |= 1u128 << j;
             }
@@ -379,25 +477,67 @@ mod tests {
         row
     }
 
+    /// The slot holding `page`, looked up the way `learn` and `issue` do.
+    fn slot_of(ch: &mut ChannelTlp, page: u64) -> Option<usize> {
+        let at = ch.find(page).ok()?;
+        Some(ch.by_page[at].1 as usize)
+    }
+
+    /// `slot`'s derived Ref row, looked up the way `issue` does.
+    fn row_of(ch: &mut ChannelTlp, slot: usize) -> u128 {
+        let at = ch.find(ch.pages[slot]).expect("an occupied slot is indexed");
+        ch.ref_row(at)
+    }
+
+    /// The recency list walked head to tail, checked against the walk
+    /// tail to head.
+    fn recency_order(r: &Recency) -> Vec<usize> {
+        let walk = |mut j: u8, links: &[u8]| {
+            let mut order = Vec::new();
+            while j != NIL {
+                order.push(j as usize);
+                j = links[j as usize];
+            }
+            order
+        };
+        let forward = walk(r.head, &r.next);
+        let mut backward = walk(r.tail, &r.prev);
+        backward.reverse();
+        assert_eq!(forward, backward, "prev and next links disagree");
+        forward
+    }
+
+    /// Distance thresholds the property tests draw from: none, adjacent
+    /// pages, the paper's default, and every page (the row range
+    /// saturates at both ends).
+    const DISTANCES: [u64; 4] = [0, 1, 64, u64::MAX];
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// The RPT against a naive model: a dense slot vector with the
         /// same first-minimum LRU eviction, but plain linear search in
-        /// place of the open-addressed index and memos. Membership must
-        /// agree after every learn, and every slot's derived Ref row must
-        /// equal the scalar pairwise predicate.
+        /// place of the sorted index, the recency list and the memo.
+        /// Stamps come from a small range, so LRU ties and time running
+        /// backwards are common. Membership must agree after every learn,
+        /// and every slot's derived Ref row must equal the scalar pairwise
+        /// predicate.
         #[test]
         fn rpt_index_and_ref_rows_match_naive_model(
-            steps in proptest::collection::vec((0u64..200, 0usize..16), 1..300),
+            steps in proptest::collection::vec((0u64..200, 0usize..16, 0u64..8), 1..300),
+            distance in 0usize..DISTANCES.len(),
         ) {
-            let cfg = TlpConfig { entries: 16, ..TlpConfig::default() };
+            let cfg = TlpConfig {
+                entries: 16,
+                distance_threshold: DISTANCES[distance],
+                ..TlpConfig::default()
+            };
             let mut ch = ChannelTlp::new_for_segment(&cfg, 0);
             let mut tel = Telemetry::counting_only();
             // Model slots: (page, last). Same shape, naive operations.
             let mut model: Vec<(u64, Cycle)> = Vec::new();
-            for (i, &(page, offset)) in steps.iter().enumerate() {
-                let now = Cycle::new((i as u64 + 1) * 10);
+            for &(page, offset, stamp) in &steps {
+                let now = Cycle::new(stamp * 10);
                 ch.learn(page, offset, now, &mut tel);
                 if let Some(e) = model.iter_mut().find(|e| e.0 == page) {
                     e.1 = now;
@@ -412,40 +552,46 @@ mod tests {
                         .expect("model is full");
                     model[v] = (page, now);
                 }
-                prop_assert_eq!(ch.filled, model.len());
+                prop_assert_eq!(ch.occupancy(), model.len());
                 for (slot, &(page, _)) in model.iter().enumerate() {
                     prop_assert_eq!(ch.pages[slot], page, "slot contents diverged");
-                    prop_assert_eq!(ch.slot_of(page), Some(slot), "index lookup diverged");
+                    prop_assert_eq!(slot_of(&mut ch, page), Some(slot), "index lookup diverged");
                 }
-                for slot in 0..ch.filled {
+                for slot in 0..ch.occupancy() {
                     let want = pairwise_ref_row(&ch, slot);
-                    prop_assert_eq!(ch.ref_row(slot), want, "derived Ref row diverged");
+                    prop_assert_eq!(row_of(&mut ch, slot), want, "derived Ref row diverged");
                 }
             }
         }
 
-        /// The branchless popcount donor scan against a scalar reference:
-        /// walk every other slot, apply the distance predicate, count
-        /// common bits with nested loops, keep the first strict maximum at
-        /// or above the confidence threshold. The prefetches `issue` emits
-        /// must be exactly the reference donor's unseen blocks.
+        /// The popcount donor scan against a scalar reference: walk every
+        /// other slot, apply the distance predicate, count common bits
+        /// with nested loops, keep the first strict maximum at or above
+        /// the confidence threshold. The prefetches `issue` emits must be
+        /// exactly the reference donor's unseen blocks, whatever the
+        /// stamps and the distance threshold.
         #[test]
         fn issue_matches_scalar_pairwise_reference(
-            steps in proptest::collection::vec((0u64..40, 0usize..16), 1..200),
+            steps in proptest::collection::vec((0u64..40, 0usize..16, 0u64..8), 1..200),
             trigger in 0u64..40,
+            distance in 0usize..DISTANCES.len(),
         ) {
-            let cfg = TlpConfig { entries: 8, ..TlpConfig::default() };
+            let cfg = TlpConfig {
+                entries: 8,
+                distance_threshold: DISTANCES[distance],
+                ..TlpConfig::default()
+            };
             let mut ch = ChannelTlp::new_for_segment(&cfg, 0);
             let mut tel = Telemetry::counting_only();
-            for (i, &(page, offset)) in steps.iter().enumerate() {
-                ch.learn(page, offset, Cycle::new((i as u64 + 1) * 10), &mut tel);
+            for &(page, offset, stamp) in &steps {
+                ch.learn(page, offset, Cycle::new(stamp * 10), &mut tel);
             }
             // Scalar reference over a snapshot of the table.
             let mut want: Vec<usize> = Vec::new();
-            if let Some(i) = ch.pages[..ch.filled].iter().position(|&p| p == trigger) {
+            if let Some(i) = ch.pages[..ch.occupancy()].iter().position(|&p| p == trigger) {
                 let my = ch.bitmaps[i];
                 let mut best: Option<(usize, usize)> = None; // (common, slot)
-                for j in 0..ch.filled {
+                for j in 0..ch.occupancy() {
                     if j == i || ch.pages[j].abs_diff(trigger) > cfg.distance_threshold {
                         continue;
                     }
@@ -470,6 +616,30 @@ mod tests {
             let got: Vec<usize> =
                 out.iter().map(|r| r.addr.block_index().index_in_segment()).collect();
             prop_assert_eq!(got, want, "popcount scan diverged from the scalar reference");
+        }
+
+        /// The recency list against the timestamps it orders: after every
+        /// learn it holds exactly the occupied slots in non-decreasing
+        /// stamp order, and its victim is the linear scan's first minimum.
+        #[test]
+        fn recency_list_is_an_exact_lru_order(
+            steps in proptest::collection::vec((0u64..24, 0u64..8), 1..300),
+        ) {
+            let cfg = TlpConfig { entries: 8, ..TlpConfig::default() };
+            let mut ch = ChannelTlp::new_for_segment(&cfg, 0);
+            let mut tel = Telemetry::counting_only();
+            for &(page, stamp) in &steps {
+                ch.learn(page, 0, Cycle::new(stamp * 10), &mut tel);
+                let lasts = &ch.lasts[..ch.occupancy()];
+                let mut order = recency_order(&ch.recency);
+                prop_assert!(
+                    order.windows(2).all(|w| lasts[w[0]] <= lasts[w[1]]),
+                    "recency list out of stamp order"
+                );
+                prop_assert_eq!(ch.recency.victim(lasts), lru_scan(lasts), "victim diverged");
+                order.sort_unstable();
+                prop_assert_eq!(order, (0..lasts.len()).collect::<Vec<_>>(), "list lost a slot");
+            }
         }
     }
 
@@ -608,6 +778,22 @@ mod tests {
         let out = touch(&mut tlp, 101, &[0, 2, 4, 6], 300);
         assert!(out.is_empty(), "evicted neighbour must not donate a pattern");
         assert_eq!(tlp.occupancy(0), 2);
+    }
+
+    #[test]
+    fn retouched_tail_with_an_earlier_stamp_becomes_lru() {
+        // Page 101 is the most recent entry, then is touched again at a
+        // stamp before page 100's: it is now the least recent, so the
+        // next allocation must evict it even though it was touched last.
+        let cfg = TlpConfig { entries: 2, ..TlpConfig::default() };
+        let mut ch = ChannelTlp::new_for_segment(&cfg, 0);
+        let mut tel = Telemetry::counting_only();
+        ch.learn(100, 0, Cycle::new(10), &mut tel);
+        ch.learn(101, 0, Cycle::new(20), &mut tel);
+        ch.learn(101, 1, Cycle::new(5), &mut tel);
+        ch.learn(102, 0, Cycle::new(30), &mut tel);
+        assert!(slot_of(&mut ch, 100).is_some(), "page 100 is the more recent entry");
+        assert!(slot_of(&mut ch, 101).is_none(), "page 101 must be the victim");
     }
 
     #[test]
