@@ -41,16 +41,20 @@ if [[ "${1:-}" != "fast" ]]; then
     # The tests above never run a workload, so a hot-path change that moves
     # a pinned seed-0 fingerprint would pass them. A one-second run checks
     # every operation of its workload against the pinned digests; its last
-    # stdout line is the result object.
-    for w in open-planaria open-bop-packed served-fleet; do
-        line=$(CARGO_TARGET_DIR=target/perfbench cargo run --release --offline --quiet \
-            --manifest-path perfbench/Cargo.toml -- \
-            --workload "$w" --seed 0 --seconds 1 --trace 0 | tail -n 1)
-        if [[ "$line" != *'"correct":true'* || "$line" != *'"failed":0,'* ]]; then
-            echo "perfbench $w: pinned results do not match: $line"
-            exit 1
-        fi
-        echo "perfbench $w: correct, 0 failed"
+    # stdout line is the result object. The traced run (--trace 1) also
+    # checks that traced fingerprints equal untraced ones and that every
+    # recorded layer tape replays to the in-run digests.
+    for trace in 0 1; do
+        for w in open-planaria open-bop-packed served-fleet; do
+            line=$(CARGO_TARGET_DIR=target/perfbench cargo run --release --offline --quiet \
+                --manifest-path perfbench/Cargo.toml -- \
+                --workload "$w" --seed 0 --seconds 1 --trace "$trace" | tail -n 1)
+            if [[ "$line" != *'"correct":true'* || "$line" != *'"failed":0,'* ]]; then
+                echo "perfbench $w --trace $trace: pinned results do not match: $line"
+                exit 1
+            fi
+            echo "perfbench $w --trace $trace: correct, 0 failed"
+        done
     done
 
     step "perf baseline (single-thread throughput -> target/ci_perf.json)"

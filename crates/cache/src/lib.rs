@@ -10,8 +10,6 @@
 //! * pluggable replacement policies ([`ReplacementKind`]): LRU, FIFO,
 //!   2-bit SRRIP and deterministic pseudo-random — used by the paper's
 //!   "better replacement doesn't fix the SC" ablation;
-//! * an [`MshrFile`] for outstanding misses (late-prefetch detection and
-//!   duplicate-miss merging);
 //! * a bounded, deduplicating [`PrefetchQueue`].
 //!
 //! # Examples
@@ -31,14 +29,12 @@
 
 mod cache;
 mod config;
-mod mshr;
 mod queue;
 mod replacement;
 mod stats;
 
 pub use cache::{AccessResult, EvictedLine, SetAssocCache};
 pub use config::{CacheConfig, ConfigError};
-pub use mshr::{MshrFile, MshrStatus};
 pub use queue::PrefetchQueue;
 pub use replacement::ReplacementKind;
 pub use stats::{CacheStats, DeviceCacheStats};

@@ -1,4 +1,12 @@
 //! One channel's controller: queue, scheduler, banks, refresh.
+//!
+//! The scheduler is one queue scan and one memo. [`Channel::scan_queue`]
+//! derives every queued request's next command from current bank and bus
+//! state and picks the winner; [`Channel::best_candidate`] keeps that
+//! winner until the queue or the timing state changes (enqueue, issue,
+//! refresh). The queues hold about one request per scan on the
+//! benchmark's traffic, so nothing finer-grained pays for itself
+//! (DESIGN.md §8).
 
 use std::collections::VecDeque;
 
@@ -21,57 +29,7 @@ struct Pending {
     seq: u64,
 }
 
-/// Command-kind index used by the scheduler scan (also indexes its gate
-/// table): 0 = Read, 1 = Write, 2 = Precharge, 3 = Activate.
-const SCAN_KINDS: [CommandKind; 4] =
-    [CommandKind::Read, CommandKind::Write, CommandKind::Precharge, CommandKind::Activate];
-
-/// Hot scheduler-scan state for one queue entry, kept in a dense array
-/// parallel to the request queue (24 bytes vs the 64-byte [`Pending`], so
-/// the per-issue rescan streams 2-3 entries per host cache line).
-///
-/// `local` and `kind` memoise the bank-local half of the FR-FCFS decision
-/// — `bank_ready.max(enqueued)` and the command the request needs next —
-/// valid while `version` matches the bank's mutation counter. `static_lo`
-/// packs the kind-dependent column preference with the request's static
-/// tie-breaks, so the scan's whole ordering key is one `u128` compare.
-#[derive(Debug, Clone, Copy)]
-struct ScanEntry {
-    /// Bank-local ready cycle, already `max`ed with the enqueue cycle.
-    local: Cycle,
-    /// `col_rank << 62 | priority << 60 | seq` (bit 63 clear, seq < 2^60).
-    static_lo: u64,
-    /// Bank version this entry's memo was computed against.
-    version: u32,
-    /// Bank index (banks per channel always fit in a byte).
-    bank: u8,
-    /// Index into [`SCAN_KINDS`] / the scan's gate table.
-    kind: u8,
-}
-
-impl ScanEntry {
-    /// Derives the memoised half of the scheduling decision from current
-    /// bank state — exactly the bank-dependent part of
-    /// [`Channel::next_command`].
-    fn compute(p: &Pending, bank: &Bank, version: u32) -> Self {
-        let (kind, local) = match bank.open_row {
-            Some(r) if r == p.row => (p.is_write as u8, bank.next_col),
-            Some(_) => (2, bank.next_pre),
-            None => (3, bank.next_act),
-        };
-        debug_assert!(p.seq < 1 << 60, "seq outgrew its 60-bit key field");
-        let col_rank = (kind >= 2) as u64;
-        Self {
-            local: local.max(p.enqueued),
-            static_lo: col_rank << 62 | (p.priority as u64) << 60 | p.seq,
-            version,
-            bank: p.bank as u8,
-            kind,
-        }
-    }
-}
-
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Candidate {
     queue_idx: usize,
     issue: Cycle,
@@ -83,17 +41,7 @@ struct Candidate {
 pub(crate) struct Channel {
     cfg: DramConfig,
     banks: Vec<Bank>,
-    /// Per-bank mutation counters backing the [`ScanEntry`] memo: bumped
-    /// whenever a bank's timing state changes (command issue,
-    /// auto-precharge, refresh), so queue entries recompute their
-    /// bank-local readiness only when *their* bank actually moved. `u32`
-    /// wrap-around is harmless: an entry is re-observed on every scan and
-    /// every bump forces a scan before the next command, so the delta
-    /// between observations is always a handful, never 2^32.
-    bank_versions: Vec<u32>,
     queue: Vec<Pending>,
-    /// Hot scan state, index-parallel to `queue` (same push/swap-remove).
-    scan: Vec<ScanEntry>,
     /// Command-bus gate: one command per `t_cmd`.
     next_cmd: Cycle,
     /// Earliest next column read (bus occupancy + write-to-read turnaround).
@@ -106,12 +54,13 @@ pub(crate) struct Channel {
     /// Issue time of the most recent command (power-down bookkeeping).
     last_activity: Cycle,
     seq: u64,
-    /// Memoised scheduler decision. The queue and the timing state it
-    /// depends on change only in `enqueue`, `issue` and `do_refresh`, each
-    /// of which resets this to `None` (stale); `Some(best)` is served
-    /// without rescanning the queue — the common case, since `advance_to`
-    /// re-asks on every simulated demand access. `Some(None)` memoises an
-    /// empty queue.
+    /// The scheduler's one memo: the winner of the last
+    /// [`Channel::scan_queue`]. The queue and the timing state the scan
+    /// reads change only in `enqueue`, `issue` and `do_refresh`, each of
+    /// which resets this to `None` (stale); `Some(best)` is served without
+    /// rescanning — about half of all queries, since `advance_to` re-asks
+    /// on every simulated demand access. `Some(None)` memoises an empty
+    /// queue.
     cached_candidate: Option<Option<Candidate>>,
     pub(crate) stats: DramStats,
     pub(crate) log: Vec<Command>,
@@ -121,9 +70,7 @@ impl Channel {
     pub(crate) fn new(cfg: DramConfig) -> Self {
         Self {
             banks: (0..cfg.map.banks).map(|_| Bank::new()).collect(),
-            bank_versions: vec![0; cfg.map.banks],
             queue: Vec::with_capacity(cfg.queue_depth),
-            scan: Vec::with_capacity(cfg.queue_depth),
             next_cmd: Cycle::ZERO,
             next_rd: Cycle::ZERO,
             next_wr: Cycle::ZERO,
@@ -168,7 +115,6 @@ impl Channel {
         let (bank, row) = self.cfg.map.locate(addr);
         self.cached_candidate = None;
         let p = Pending { id, addr, bank, row, is_write, priority, enqueued: now, seq: self.seq };
-        self.scan.push(ScanEntry::compute(&p, &self.banks[bank], self.bank_versions[bank]));
         self.queue.push(p);
         self.seq += 1;
     }
@@ -198,118 +144,47 @@ impl Channel {
         (kind, ready.max(p.enqueued).max(self.next_cmd))
     }
 
-    /// Scheduler front-end with incremental rescanning: the full queue
-    /// scan of [`Channel::compute_best_candidate`] runs only when the
-    /// decision inputs changed since the last call (enqueue, issue or
-    /// refresh); otherwise the memoised winner is returned directly.
+    /// The scheduler's decision: the memoised winner while it is fresh,
+    /// otherwise a [`Channel::scan_queue`] whose result is memoised. In
+    /// debug builds every memo hit is checked against a fresh scan.
     fn best_candidate(&mut self) -> Option<Candidate> {
         if let Some(cached) = self.cached_candidate {
             debug_assert_eq!(
-                cached.map(|c| (c.queue_idx, c.issue, c.kind)),
-                self.compute_best_candidate_uncached().map(|c| (c.queue_idx, c.issue, c.kind)),
-                "stale scheduler cache: a mutation path forgot to invalidate"
+                cached,
+                self.scan_queue(),
+                "stale scheduler memo: a mutation path forgot to invalidate"
             );
             return cached;
         }
-        let best = self.compute_best_candidate();
-        debug_assert_eq!(
-            best.map(|c| (c.queue_idx, c.issue, c.kind)),
-            self.compute_best_candidate_uncached().map(|c| (c.queue_idx, c.issue, c.kind)),
-            "entry-level memo diverged: a bank mutation missed its version bump"
-        );
+        let best = self.scan_queue();
         self.cached_candidate = Some(best);
         best
     }
 
+    /// The scheduler's one queue scan: every entry derives its next
+    /// command and issue cycle directly from bank and bus state
+    /// ([`Channel::next_command`]), and the winner is picked by policy.
     /// FCFS considers only the oldest request; FR-FCFS (default):
     /// earliest-issuable command wins; ties prefer column commands (row
-    /// hits), then demand over prefetch over writeback, then age.
-    ///
-    /// The FR-FCFS scan is incremental at the entry level: each entry's
-    /// command kind and bank-local ready time (`bank_ready.max(enqueued)`)
-    /// are memoised against its bank's version counter, and the global
-    /// gates (command bus, data-bus turnaround, tRRD/tFAW) — identical for
-    /// every entry wanting the same command kind — are hoisted out of the
-    /// loop. `max` is associative and commutative, so the issue cycle is
-    /// bit-identical to the direct [`Channel::next_command`] form (a debug
-    /// assertion in [`Channel::best_candidate`] re-derives it that way).
-    fn compute_best_candidate(&mut self) -> Option<Candidate> {
-        if self.cfg.scheduler == SchedulerKind::Fcfs {
-            let (i, p) = self.queue.iter().enumerate().min_by_key(|(_, p)| p.seq)?;
+    /// hits), then demand over prefetch over writeback, then age. `seq` is
+    /// unique, so the FR-FCFS key never ties.
+    fn scan_queue(&self) -> Option<Candidate> {
+        let candidate = |(queue_idx, p): (usize, &Pending)| {
             let (kind, issue) = self.next_command(p);
-            return Some(Candidate { queue_idx: i, issue, kind });
+            Candidate { queue_idx, issue, kind }
+        };
+        let entries = self.queue.iter().enumerate();
+        match self.cfg.scheduler {
+            SchedulerKind::Fcfs => entries.min_by_key(|(_, p)| p.seq).map(candidate),
+            SchedulerKind::FrFcfs => entries
+                .map(|(i, p)| {
+                    let c = candidate((i, p));
+                    let row_miss = !matches!(c.kind, CommandKind::Read | CommandKind::Write);
+                    ((c.issue, row_miss, p.priority, p.seq), c)
+                })
+                .min_by_key(|&(key, _)| key)
+                .map(|(_, c)| c),
         }
-        let t = &self.cfg.timing;
-        let mut act_gate = self.next_cmd;
-        if let Some(&last) = self.act_history.back() {
-            act_gate = act_gate.max(last + t.t_rrd);
-        }
-        if self.act_history.len() >= 4 {
-            act_gate = act_gate.max(self.act_history[self.act_history.len() - 4] + t.t_faw);
-        }
-        let gates = [
-            self.next_rd.max(self.next_cmd).as_u64(),
-            self.next_wr.max(self.next_cmd).as_u64(),
-            self.next_cmd.as_u64(),
-            act_gate.as_u64(),
-        ];
-        let banks = &self.banks;
-        let versions = &self.bank_versions;
-        let queue = &self.queue;
-        // `(issue, col_rank, priority, seq)` in one u128: the fields sit
-        // in disjoint bit ranges in significance order, so the integer
-        // compare IS the lexicographic tuple compare (ties are impossible
-        // — `seq` is unique). The original tuple form replaced the running
-        // best only on strict improvement; `<` preserves that.
-        let mut best_key = u128::MAX;
-        let mut best_idx = usize::MAX;
-        for (i, e) in self.scan.iter_mut().enumerate() {
-            let v = versions[e.bank as usize];
-            if e.version != v {
-                *e = ScanEntry::compute(&queue[i], &banks[e.bank as usize], v);
-            }
-            let issue = e.local.as_u64().max(gates[e.kind as usize]);
-            let key = (issue as u128) << 64 | e.static_lo as u128;
-            if key < best_key {
-                best_key = key;
-                best_idx = i;
-            }
-        }
-        if best_idx == usize::MAX {
-            return None;
-        }
-        Some(Candidate {
-            queue_idx: best_idx,
-            issue: Cycle::new((best_key >> 64) as u64),
-            kind: SCAN_KINDS[self.scan[best_idx].kind as usize],
-        })
-    }
-
-    /// The pre-memoisation scheduler scan, kept as the debug-build oracle
-    /// for [`Channel::best_candidate`]'s assertions: every entry re-derives
-    /// its command directly from bank state via [`Channel::next_command`],
-    /// so a missing bank-version bump in a mutation path shows up as a
-    /// divergence instead of a silent wrong schedule.
-    fn compute_best_candidate_uncached(&self) -> Option<Candidate> {
-        if self.cfg.scheduler == SchedulerKind::Fcfs {
-            let (i, p) = self.queue.iter().enumerate().min_by_key(|(_, p)| p.seq)?;
-            let (kind, issue) = self.next_command(p);
-            return Some(Candidate { queue_idx: i, issue, kind });
-        }
-        let mut best: Option<(Candidate, (u64, u8, Priority, u64))> = None;
-        for (i, p) in self.queue.iter().enumerate() {
-            let (kind, issue) = self.next_command(p);
-            let col_rank = match kind {
-                CommandKind::Read | CommandKind::Write => 0u8,
-                _ => 1,
-            };
-            let key = (issue.as_u64(), col_rank, p.priority, p.seq);
-            match &best {
-                Some((_, k)) if *k <= key => {}
-                _ => best = Some((Candidate { queue_idx: i, issue, kind }, key)),
-            }
-        }
-        best.map(|(c, _)| c)
     }
 
     fn record(&mut self, cycle: Cycle, kind: CommandKind, bank: usize, row: u64) {
@@ -336,9 +211,6 @@ impl Channel {
         for b in &mut self.banks {
             b.refresh_reset(ready);
         }
-        for v in &mut self.bank_versions {
-            *v += 1;
-        }
         self.stats.n_ref += 1;
         self.record(start, CommandKind::Refresh, 0, 0);
         self.next_cmd = self.next_cmd.max(start + t.t_cmd);
@@ -352,8 +224,6 @@ impl Channel {
         self.cached_candidate = None;
         let t = self.cfg.timing;
         let p = self.queue[cand.queue_idx];
-        // Every arm below mutates `p.bank`'s timing state.
-        self.bank_versions[p.bank] += 1;
         let at = cand.issue;
         self.next_cmd = at + t.t_cmd;
         self.last_activity = self.last_activity.max(at);
@@ -423,7 +293,6 @@ impl Channel {
         }
         // The earliest legal precharge moment (tRAS from ACT, tRTP/tWR from
         // the column command just issued).
-        self.bank_versions[bank] += 1;
         let b = &mut self.banks[bank];
         let pre_at = b.next_pre;
         b.precharge(pre_at, &self.cfg.timing);
@@ -435,7 +304,6 @@ impl Channel {
 
     fn finish_request(&mut self, idx: usize, finish: Cycle, out: &mut Vec<Completion>) {
         let p = self.queue.swap_remove(idx);
-        self.scan.swap_remove(idx);
         self.stats.last_finish = self.stats.last_finish.max(finish);
         out.push(Completion {
             id: p.id,
@@ -445,17 +313,6 @@ impl Channel {
             enqueued: p.enqueued,
             finish,
         });
-    }
-
-    /// Lower bound on the next cycle at which this channel can legally do
-    /// anything (issue a command or refresh). `Cycle::ZERO` when the memo
-    /// is stale, forcing the next [`Channel::advance_to`] to rescan.
-    pub(crate) fn next_event(&self) -> Cycle {
-        match self.cached_candidate {
-            None => Cycle::ZERO,
-            Some(None) => self.next_ref,
-            Some(Some(c)) => c.issue.min(self.next_ref),
-        }
     }
 
     /// Issues every command that can legally issue at or before `t`.

@@ -236,7 +236,59 @@ impl DramConfig {
     pub const fn row_bytes(&self) -> u64 {
         self.map.blocks_per_row * BLOCK_SIZE
     }
+
+    /// Checks the values a controller cannot run with: a channel count
+    /// other than the static page-segment mapping's, an empty queue or
+    /// geometry, and a refresh interval with no room between refreshes
+    /// for an activate and its column command.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`DramConfigError`] naming the first offending field.
+    pub fn validate(&self) -> Result<(), DramConfigError> {
+        let err = |msg: String| Err(DramConfigError(msg));
+        if self.channels != NUM_CHANNELS {
+            return err(format!(
+                "channels is {}, but the static page-segment mapping requires {NUM_CHANNELS}",
+                self.channels
+            ));
+        }
+        if self.queue_depth == 0 {
+            return err("queue_depth must be non-zero".into());
+        }
+        if self.map.banks == 0 {
+            return err("map.banks must be non-zero".into());
+        }
+        if self.map.blocks_per_row == 0 {
+            return err("map.blocks_per_row must be non-zero".into());
+        }
+        // A refresh closes every row and holds the banks for t_rfc; the
+        // next is due t_refi after the last. An ACT then needs t_rcd
+        // before its column command, and a due refresh wins the tie, so
+        // at or below this bound no request completes after the first
+        // refresh.
+        let (t_refi, min) = (self.timing.t_refi, self.timing.t_rfc + self.timing.t_rcd);
+        if t_refi <= min {
+            return err(format!(
+                "timing.t_refi ({t_refi}) must exceed timing.t_rfc + timing.t_rcd ({min}), \
+                 or no column command fits between refreshes"
+            ));
+        }
+        Ok(())
+    }
 }
+
+/// Error returned by [`DramConfig::validate`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DramConfigError(String);
+
+impl core::fmt::Display for DramConfigError {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        write!(f, "invalid dram config: {}", self.0)
+    }
+}
+
+impl std::error::Error for DramConfigError {}
 
 impl Default for DramConfig {
     fn default() -> Self {
@@ -320,5 +372,26 @@ mod tests {
         assert!(!PagePolicy::Closed.to_string().is_empty());
         assert!(c.powerdown);
         assert!(!SchedulerKind::Fcfs.to_string().is_empty());
+    }
+
+    #[test]
+    fn table1_config_validates() {
+        assert_eq!(DramConfig::lpddr4().validate(), Ok(()));
+    }
+
+    #[test]
+    fn each_bad_field_is_rejected_by_name() {
+        let rejects = |field: &str, spoil: fn(&mut DramConfig)| {
+            let mut cfg = DramConfig::lpddr4();
+            spoil(&mut cfg);
+            let msg = cfg.validate().expect_err(field).to_string();
+            assert!(msg.contains(field), "{field}: {msg}");
+        };
+        rejects("channels", |c| c.channels = 2);
+        rejects("queue_depth", |c| c.queue_depth = 0);
+        rejects("map.banks", |c| c.map.banks = 0);
+        rejects("map.blocks_per_row", |c| c.map.blocks_per_row = 0);
+        rejects("timing.t_refi", |c| c.timing.t_refi = 0);
+        rejects("timing.t_refi", |c| c.timing.t_refi = c.timing.t_rfc + c.timing.t_rcd);
     }
 }

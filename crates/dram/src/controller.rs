@@ -1,4 +1,5 @@
-//! The multi-channel memory controller facade.
+//! The multi-channel memory controller facade: routes each request to
+//! its channel and walks the channels on every [`MemoryController::advance_to`].
 
 use core::fmt;
 
@@ -30,11 +31,6 @@ pub struct MemoryController {
     cfg: DramConfig,
     channels: Vec<Channel>,
     next_id: u64,
-    /// Lower bound on the next cycle at which *any* channel can act;
-    /// [`MemoryController::advance_to`] before this cycle is a no-op and
-    /// returns without touching the channels. Reset to `Cycle::ZERO`
-    /// whenever channel state changes outside `advance_to` (enqueue).
-    next_event: Cycle,
 }
 
 impl MemoryController {
@@ -42,21 +38,14 @@ impl MemoryController {
     ///
     /// # Panics
     ///
-    /// Panics if `cfg.channels` does not match the static page-segment
-    /// channel mapping (4 channels).
+    /// Panics, naming the offending field, if [`DramConfig::validate`]
+    /// rejects `cfg`: a controller built from it would hang or divide by
+    /// zero mid-run instead.
     pub fn new(cfg: DramConfig) -> Self {
-        assert_eq!(
-            cfg.channels,
-            planaria_common::NUM_CHANNELS,
-            "the static page-segment mapping requires {} channels",
-            planaria_common::NUM_CHANNELS
-        );
-        Self {
-            channels: (0..cfg.channels).map(|_| Channel::new(cfg)).collect(),
-            next_id: 0,
-            next_event: Cycle::ZERO,
-            cfg,
+        if let Err(e) = cfg.validate() {
+            panic!("{e}");
         }
+        Self { channels: (0..cfg.channels).map(|_| Channel::new(cfg)).collect(), next_id: 0, cfg }
     }
 
     /// The controller's configuration.
@@ -85,7 +74,6 @@ impl MemoryController {
         let id = RequestId(self.next_id);
         self.next_id += 1;
         self.channels[ch].enqueue(id, addr.block_base(), is_write, priority, now);
-        self.next_event = Cycle::ZERO;
         Ok(id)
     }
 
@@ -109,21 +97,14 @@ impl MemoryController {
     ///
     /// The caller owns and reuses the buffer: the simulator calls this
     /// once per demand access, so a returned `Vec` here would be a heap
-    /// allocation on the steady-state hot path.
+    /// allocation on the steady-state hot path. Every call walks all
+    /// channels; a channel with nothing due answers from its memoised
+    /// scheduler decision without rescanning its queue.
     pub fn advance_to(&mut self, now: Cycle, out: &mut Vec<Completion>) {
         out.clear();
-        // Incremental scheduling fast path: each channel's memoised
-        // decision bounds when it can next act, so calls before the bound
-        // (the common case — one call per simulated demand access) skip
-        // the per-channel walk entirely.
-        if now < self.next_event {
-            return;
-        }
         for ch in &mut self.channels {
             ch.advance_to(now, out);
         }
-        self.next_event =
-            self.channels.iter().map(Channel::next_event).min().unwrap_or(Cycle::ZERO);
         out.sort_by_key(|c| (c.finish, c.id));
     }
 
@@ -131,7 +112,6 @@ impl MemoryController {
     /// with completions sorted by finish time.
     pub fn drain(&mut self, out: &mut Vec<Completion>) {
         out.clear();
-        self.next_event = Cycle::ZERO;
         for ch in &mut self.channels {
             ch.drain(out);
         }
@@ -270,6 +250,14 @@ mod tests {
         assert_eq!(err.channel, 0);
         assert!(!err.to_string().is_empty());
         assert!(!mc.has_room_for(a));
+    }
+
+    #[test]
+    #[should_panic(expected = "queue_depth")]
+    fn empty_queue_is_rejected_instead_of_hanging() {
+        let mut cfg = DramConfig::lpddr4();
+        cfg.queue_depth = 0;
+        MemoryController::new(cfg);
     }
 
     #[test]

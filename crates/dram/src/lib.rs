@@ -46,7 +46,7 @@ mod controller;
 pub mod power;
 mod request;
 
-pub use config::{AddressMap, DramConfig, PagePolicy, SchedulerKind, Timing};
+pub use config::{AddressMap, DramConfig, DramConfigError, PagePolicy, SchedulerKind, Timing};
 pub use controller::{MemoryController, QueueFull};
 pub use power::{DramStats, EnergyParams};
 pub use request::{Command, CommandKind, Completion, Priority, RequestId};
