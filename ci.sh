@@ -57,15 +57,6 @@ if [[ "${1:-}" != "fast" ]]; then
         done
     done
 
-    step "perf baseline (single-thread throughput -> target/ci_perf.json)"
-    # Measure into target/ so the gate never rewrites the committed
-    # BENCH_perf.json; refresh that file deliberately with a bare
-    # `perf_baseline` run. Fail the gate on a malformed measurement or a
-    # malformed committed record.
-    cargo run --release -q -p planaria-bench --bin perf_baseline -- --out target/ci_perf.json
-    cargo run --release -q -p planaria-bench --bin perf_baseline -- --check target/ci_perf.json
-    cargo run --release -q -p planaria-bench --bin perf_baseline -- --check BENCH_perf.json
-
     step "contention sweep (closed-loop traffic model smoke test)"
     cargo run --release -q -p planaria-bench --bin contention -- \
         --len 4000 --apps hok --windows 2,8 --out target/contention_ci.json
@@ -80,17 +71,24 @@ if [[ "${1:-}" != "fast" ]]; then
         --devices 100000 --len 40 --out target/serve_load_ci.json
     cargo run --release -q -p planaria-bench --bin serve_load -- --check target/serve_load_ci.json
 
-    step "streamed replay (pack 10M accesses, replay from disk, check fingerprints)"
-    # Exercises the full on-disk path at a size where materializing would
-    # cost ~180 MB but the streamed replay stays flat: record a packed
-    # planaria-trace-v1 file with trace_pack, replay it through the
-    # streamed engine, and gate on the emitted fingerprint document.
+    step "streamed replay (pack 10M accesses, replay from disk in flat memory)"
+    # Exercises the full on-disk path at a size where materializing the
+    # 180 MB file would take ~240 MB but the streamed replay stays flat:
+    # record a packed planaria-trace-v1 file with trace_pack, replay it
+    # through the streamed engine, and gate on the emitted document and on
+    # its peak RSS staying under 64 MiB.
     cargo run --release -q -p planaria-trace --bin trace_pack -- \
         record --app HoK --len 10000000 --out target/ci_hok10m.ptrace
-    cargo run --release -q -p planaria-bench --bin perf_baseline -- \
-        --stream --trace target/ci_hok10m.ptrace --out target/ci_stream.json
-    cargo run --release -q -p planaria-bench --bin perf_baseline -- --check target/ci_stream.json
+    cargo run --release -q -p planaria-bench --bin replay -- \
+        --trace target/ci_hok10m.ptrace --out target/ci_stream.json
+    cargo run --release -q -p planaria-bench --bin replay -- --check target/ci_stream.json
     rm -f target/ci_hok10m.ptrace
+    hwm=$(grep -oE '"vm_hwm_kb": [0-9]+' target/ci_stream.json | grep -oE '[0-9]+$' || true)
+    if [[ -z "$hwm" || "$hwm" -ge 65536 ]]; then
+        echo "streamed replay: peak RSS ${hwm:-unknown} kB is not under 65536 kB"
+        exit 1
+    fi
+    echo "streamed replay: peak RSS $hwm kB"
 fi
 
 step "planaria-lint --check (determinism / hot-path / API-hygiene invariants)"

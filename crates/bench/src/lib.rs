@@ -179,7 +179,7 @@ impl HarnessArgs {
 ///
 /// The figure harnesses go through [`HarnessArgs`] and may panic on bad
 /// input (developer-facing, documented). The *measurement* binaries
-/// (`perf_baseline`, `contention`) are run from CI and scripts, where a
+/// (`replay`, `contention`) are run from CI and scripts, where a
 /// panic with a backtrace hint buries the actual mistake; they report
 /// `error: …` plus their usage line on stderr and exit with status 2
 /// (the conventional "usage error" code, distinct from a failed check's

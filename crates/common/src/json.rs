@@ -1,8 +1,8 @@
 //! Shared JSON plumbing for every emitter in the workspace.
 //!
 //! The workspace builds offline, without `serde_json`: every JSON document
-//! it emits (the `planaria-perf-v1` / `planaria-contention-v1` /
-//! `planaria-lint-v1` measurement schemas, the telemetry JSONL stream) is
+//! it emits (the `planaria-perf-stream-v1` / `planaria-contention-v1` /
+//! `planaria-lint-v2` measurement schemas, the telemetry JSONL stream) is
 //! written by hand. This module is the single home for that plumbing —
 //! `planaria-lint` rule R6 rejects escape helpers or schema emitters
 //! defined anywhere else:

@@ -107,14 +107,13 @@ fn r2_is_silent_on_the_allowlist() {
         [
             "crates/bench/src/bin/contention.rs",
             "crates/bench/src/bin/export_csv.rs",
-            "crates/bench/src/bin/perf_baseline.rs",
+            "crates/bench/src/bin/replay.rs",
             "crates/bench/src/bin/serve_load.rs",
             "crates/bench/src/bin/telemetry_export.rs",
             "crates/bench/src/lib.rs",
             "crates/lint/src/main.rs",
             "crates/sim/src/runner.rs",
             "crates/trace/src/bin/trace_pack.rs",
-            "crates/trace/src/bin/trace_tool.rs",
         ]
     );
 }

@@ -150,9 +150,9 @@ impl SimResult {
     ///
     /// Two results fingerprint equal iff they are bit-identical, so this
     /// is the cheap currency for cross-run equivalence checks — e.g.
-    /// `perf_baseline --stream` pins the streamed engine against the
-    /// materialized one by comparing fingerprints, and `ci.sh` replays a
-    /// packed trace and `--check`s the recorded value.
+    /// `replay --verify` pins the streamed engine against the materialized
+    /// one by comparing fingerprints, and `tests/fingerprints.rs` pins
+    /// every prefetcher × app result.
     pub fn fingerprint(&self) -> u64 {
         let mut h = Fnv::new();
         // Strings are length-prefixed so field boundaries stay unambiguous.

@@ -1,18 +1,22 @@
-//! `trace_pack` — record, convert and inspect chunked `planaria-trace-v1`
-//! files (the streaming replay format; byte layout in `TRACE_FORMAT.md`).
+//! `trace_pack` — record, convert and inspect traces on disk, in the
+//! chunked `planaria-trace-v1` format (the streaming replay format; byte
+//! layout in `TRACE_FORMAT.md`) or the text format.
 //!
 //! ```text
 //! trace_pack record --app HoK --len 10000000 --out hok.ptrace
-//! trace_pack convert hok.bin hok.ptrace
+//! trace_pack convert hok.ptrace hok.txt
+//! trace_pack convert hok.txt hok.ptrace
 //! trace_pack info hok.ptrace
 //! ```
 //!
-//! `record` renders the app's synthetic workload straight to disk through
-//! the streaming generators — memory use is independent of `--len`, so
-//! packing 100M+ access traces is routine. `convert` re-encodes a legacy
-//! `.bin`/text trace (materialized, the legacy format is not chunked) or
-//! stream-copies an existing v1 file. `info` replays a v1 file in constant
-//! memory and prints its header and per-device histogram.
+//! Inputs are sniffed: a file opening with the v1 magic is streamed in
+//! constant memory, anything else is parsed (and materialized) as text.
+//! `convert` writes text to an output path ending in `.txt` and v1 to any
+//! other, and refuses to overwrite its own input. `record` renders the
+//! app's synthetic workload straight to a v1 file through the streaming
+//! generators — memory use is independent of `--len`, so packing 100M+
+//! access traces is routine. `info` prints the header and per-device
+//! histogram.
 
 #![allow(clippy::disallowed_methods)]
 
@@ -23,9 +27,9 @@ use std::path::Path;
 use std::process::ExitCode;
 
 use planaria_trace::apps::{profile, AppId};
-use planaria_trace::io::{ChunkedTraceReader, ChunkedTraceWriter};
+use planaria_trace::io::{self, ChunkedTraceReader, ChunkedTraceWriter};
 use planaria_trace::stream::AccessStream;
-use planaria_trace::{io, Trace};
+use planaria_trace::Trace;
 
 /// Accesses moved per `next_chunk`/`write_chunk` round.
 const COPY_CHUNK: usize = 65_536;
@@ -33,36 +37,57 @@ const COPY_CHUNK: usize = 65_536;
 fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  trace_pack record --app <ABBR> --len <N> --out <FILE> [--seed <S>]\n  \
-         trace_pack convert <IN> <OUT>\n  trace_pack info <FILE>\n\n\
+         trace_pack convert <IN> <OUT>   (OUT ending in .txt is text, anything else v1)\n  \
+         trace_pack info <FILE>\n\n\
          apps: {}",
         AppId::ALL.map(|a| a.abbr()).join(", ")
     );
     ExitCode::from(2)
 }
 
-/// Returns `true` if the file starts with the v1 chunk magic.
-fn sniff_v1(path: &Path) -> Result<bool, String> {
-    let mut file = File::open(path).map_err(|e| format!("open {}: {e}", path.display()))?;
+fn open(path: &str) -> Result<File, String> {
+    File::open(path).map_err(|e| format!("open {path}: {e}"))
+}
+
+/// Returns `true` if the file starts with the v1 magic (a file shorter
+/// than the magic is text).
+fn is_v1(path: &str) -> Result<bool, String> {
     let mut magic = [0u8; 8];
-    let n = file.read(&mut magic).map_err(|e| format!("read {}: {e}", path.display()))?;
-    Ok(n == 8 && &magic == b"PLNTRACE")
+    Ok(open(path)?.read_exact(&mut magic).is_ok() && &magic == b"PLNTRACE")
+}
+
+/// Opens a v1 file for streaming.
+fn open_v1(path: &str) -> Result<ChunkedTraceReader<BufReader<File>>, String> {
+    ChunkedTraceReader::new(BufReader::new(open(path)?)).map_err(|e| format!("parse {path}: {e}"))
+}
+
+/// Reads a whole trace into memory, in either encoding.
+fn load(path: &str) -> Result<Trace, String> {
+    let reader = BufReader::new(open(path)?);
+    if is_v1(path)? {
+        io::read_chunked(reader)
+    } else {
+        let name = Path::new(path).file_stem().and_then(|s| s.to_str()).unwrap_or("trace");
+        io::read_text(name, reader)
+    }
+    .map_err(|e| format!("parse {path}: {e}"))
 }
 
 /// Drains `stream` into a v1 file at `out`, in constant memory.
-fn pack_stream(stream: &mut dyn AccessStream, out: &Path) -> Result<u64, String> {
+fn pack_stream(stream: &mut dyn AccessStream, out: &str) -> Result<u64, String> {
     let total = stream.total_len().ok_or("cannot pack a stream of unknown length")?;
-    let file = File::create(out).map_err(|e| format!("create {}: {e}", out.display()))?;
+    let file = File::create(out).map_err(|e| format!("create {out}: {e}"))?;
     let name = stream.name().to_string();
     let mut writer = ChunkedTraceWriter::new(BufWriter::new(file), &name, total)
-        .map_err(|e| format!("write {}: {e}", out.display()))?;
+        .map_err(|e| format!("write {out}: {e}"))?;
     let mut chunk = Vec::new();
     while stream.next_chunk(COPY_CHUNK, &mut chunk) > 0 {
-        writer.write_chunk(&chunk).map_err(|e| format!("write {}: {e}", out.display()))?;
+        writer.write_chunk(&chunk).map_err(|e| format!("write {out}: {e}"))?;
     }
     if let Some(e) = stream.error() {
         return Err(format!("input stream failed: {e}"));
     }
-    writer.finish().map_err(|e| format!("write {}: {e}", out.display()))?;
+    writer.finish().map_err(|e| format!("write {out}: {e}"))?;
     Ok(total)
 }
 
@@ -102,45 +127,45 @@ fn cmd_record(args: &[String]) -> Result<(), String> {
     if let Some(s) = seed {
         spec.seed = s;
     }
-    let total = pack_stream(&mut spec.stream(), Path::new(&out))?;
+    let total = pack_stream(&mut spec.stream(), &out)?;
     println!("wrote {out} — {} ({total} accesses, streamed)", spec.abbr);
     Ok(())
 }
 
 fn cmd_convert(args: &[String]) -> Result<(), String> {
     let [input, output] = args else { return Err("convert needs <IN> <OUT>".into()) };
-    let in_path = Path::new(input);
-    let out_path = Path::new(output);
-    let total = if sniff_v1(in_path)? {
-        // v1 → v1: stream-copy, constant memory.
-        let file = File::open(in_path).map_err(|e| format!("open {input}: {e}"))?;
-        let mut reader = ChunkedTraceReader::new(BufReader::new(file))
-            .map_err(|e| format!("parse {input}: {e}"))?;
-        pack_stream(&mut reader, out_path)?
+    // `File::create(output)` would truncate an input the reader has not
+    // finished with.
+    let canonical = std::fs::canonicalize::<&str>;
+    if canonical(input).is_ok_and(|a| canonical(output).is_ok_and(|b| a == b)) {
+        return Err(format!("refusing to convert {input} onto itself"));
+    }
+    let total = if output.ends_with(".txt") {
+        let trace = load(input)?;
+        let file = File::create(output).map_err(|e| format!("create {output}: {e}"))?;
+        io::write_text(&trace, BufWriter::new(file)).map_err(|e| format!("write {output}: {e}"))?;
+        trace.len() as u64
+    } else if is_v1(input)? {
+        pack_stream(&mut open_v1(input)?, output)?
     } else {
-        // Legacy binary/text → v1: the legacy formats are not chunked, so
-        // the input is materialized once.
-        let name = in_path.file_stem().and_then(|s| s.to_str()).unwrap_or("trace").to_string();
-        let file = File::open(in_path).map_err(|e| format!("open {input}: {e}"))?;
-        let reader = BufReader::new(file);
-        let trace: Trace = if in_path.extension().is_some_and(|e| e == "bin") {
-            io::read_binary(name, reader)
-        } else {
-            io::read_text(name, reader)
-        }
-        .map_err(|e| format!("parse {input}: {e}"))?;
-        pack_stream(&mut trace.stream(), out_path)?
+        pack_stream(&mut load(input)?.stream(), output)?
     };
     println!("converted {input} -> {output} ({total} accesses)");
     Ok(())
 }
 
 fn cmd_info(args: &[String]) -> Result<(), String> {
-    let path = args.first().ok_or("info needs a file")?;
-    let file = File::open(path).map_err(|e| format!("open {path}: {e}"))?;
-    let mut reader =
-        ChunkedTraceReader::new(BufReader::new(file)).map_err(|e| format!("parse {path}: {e}"))?;
-    // Stream the whole file, aggregating summary stats in constant memory.
+    let [path] = args else { return Err("info needs <FILE>".into()) };
+    if is_v1(path)? {
+        info(&mut open_v1(path)?, path, "v1")
+    } else {
+        info(&mut load(path)?.stream(), path, "text")
+    }
+}
+
+/// Prints one input's summary line and per-device histogram.
+fn info(reader: &mut dyn AccessStream, path: &str, format: &str) -> Result<(), String> {
+    // Stream the whole input, aggregating summary stats in constant memory.
     let mut devices: BTreeMap<String, usize> = BTreeMap::new();
     let mut reads = 0u64;
     let mut count = 0u64;
@@ -161,7 +186,7 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
     }
     let duration = last_cycle - first_cycle.unwrap_or(0);
     println!(
-        "{}: {count} accesses, {duration} cycles, {:.1}% reads (planaria-trace-v1)",
+        "{}: {count} accesses, {duration} cycles, {:.1}% reads ({format})",
         reader.name(),
         reads as f64 / count.max(1) as f64 * 100.0
     );

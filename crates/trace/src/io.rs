@@ -1,19 +1,17 @@
 //! Text and binary trace serialisation.
 //!
-//! Three interchangeable encodings are provided:
+//! Two interchangeable encodings are provided:
 //!
 //! * **Text** — one access per line, `R|W <hex addr> <device> <cycle>`,
 //!   with `#` comment lines; convenient for inspection and diffing.
-//! * **Legacy binary** — a 13-byte header followed by fixed 18-byte
-//!   little-endian records; compact, but must be materialized whole.
-//! * **Chunked binary (`planaria-trace-v1`)** — the same 18-byte records
-//!   framed into length-prefixed chunks behind a versioned, self-naming
-//!   header, so a [`ChunkedTraceReader`] can replay arbitrarily long
-//!   traces in constant memory. The byte layout is normatively specified
-//!   in `TRACE_FORMAT.md` at the repository root and pinned byte-for-byte
-//!   by `tests/streaming.rs`.
+//! * **Chunked binary (`planaria-trace-v1`)** — fixed 18-byte
+//!   little-endian records framed into length-prefixed chunks behind a
+//!   versioned, self-naming header, so a [`ChunkedTraceReader`] can replay
+//!   arbitrarily long traces in constant memory. The byte layout is
+//!   normatively specified in `TRACE_FORMAT.md` at the repository root and
+//!   pinned byte-for-byte by `tests/streaming.rs`.
 //!
-//! All formats round-trip exactly (tested by unit and property tests).
+//! Both formats round-trip exactly (tested by unit and property tests).
 //! Every size and count field read from disk is bounds-checked before it
 //! is trusted: readers fail with a specific [`ParseTraceError`] variant
 //! instead of over-allocating or misparsing on corrupt input.
@@ -139,10 +137,6 @@ impl From<io::Error> for ParseTraceError {
     }
 }
 
-fn device_to_str(d: DeviceId) -> String {
-    d.to_string()
-}
-
 fn device_from_str(s: &str) -> Option<DeviceId> {
     match s {
         "gpu" => Some(DeviceId::Gpu),
@@ -153,18 +147,18 @@ fn device_from_str(s: &str) -> Option<DeviceId> {
     }
 }
 
-/// Writes a trace in the text format.
+/// Writes a trace in the text format and flushes the writer.
 ///
 /// # Errors
 ///
-/// Returns any IO error from the writer.
+/// Returns any IO error from the writer, including the final flush.
 pub fn write_text<W: Write>(trace: &Trace, mut w: W) -> io::Result<()> {
     writeln!(w, "# trace: {}", trace.name())?;
     writeln!(w, "# format: kind addr device cycle")?;
     for a in trace.iter() {
-        writeln!(w, "{} {:#x} {} {}", a.kind, a.addr, device_to_str(a.device), a.cycle.as_u64())?;
+        writeln!(w, "{} {:#x} {} {}", a.kind, a.addr, a.device, a.cycle.as_u64())?;
     }
-    Ok(())
+    w.flush()
 }
 
 /// Reads a trace from the text format.
@@ -217,8 +211,6 @@ pub fn read_text<R: Read>(name: impl Into<String>, r: R) -> Result<Trace, ParseT
     Ok(Trace::new(name, accesses))
 }
 
-const BIN_MAGIC: &[u8; 4] = b"PLNT";
-const BIN_VERSION: u8 = 1;
 const RECORD_SIZE: usize = 18;
 
 /// Upper bound on records per chunk frame in `planaria-trace-v1`
@@ -313,65 +305,26 @@ fn decode_device(b: u8) -> Option<DeviceId> {
     }
 }
 
-/// Writes a trace in the compact binary format.
-///
-/// # Errors
-///
-/// Returns any IO error from the writer.
-pub fn write_binary<W: Write>(trace: &Trace, mut w: W) -> io::Result<()> {
-    w.write_all(BIN_MAGIC)?;
-    w.write_all(&[BIN_VERSION])?;
-    w.write_all(&(trace.len() as u64).to_le_bytes())?;
-    for a in trace.iter() {
-        w.write_all(&encode_record(a))?;
-    }
-    Ok(())
-}
-
-/// Reads a trace from the compact binary format.
-///
-/// The header's count field is *not* trusted for allocation: capacity is
-/// reserved incrementally (clamped to [`MAX_CHUNK_RECORDS`]), so a corrupt
-/// count produces a [`ParseTraceError::Truncated`] error rather than an
-/// attempt to allocate the declared size.
-///
-/// # Errors
-///
-/// Returns the specific [`ParseTraceError`] variant describing the first
-/// corruption found, or [`ParseTraceError::Io`] on IO failures.
-pub fn read_binary<R: Read>(name: impl Into<String>, mut r: R) -> Result<Trace, ParseTraceError> {
-    let mut header = [0u8; 13];
-    read_exact_or(&mut r, &mut header, "header")?;
-    if &header[..4] != BIN_MAGIC {
-        return Err(ParseTraceError::BadMagic);
-    }
-    if header[4] != BIN_VERSION {
-        return Err(ParseTraceError::UnsupportedVersion(u32::from(header[4])));
-    }
-    let count = u64::from_le_bytes(header[5..13].try_into().expect("sized slice"));
-    let mut accesses = Vec::with_capacity(clamped_capacity(count));
-    let mut rec = [0u8; RECORD_SIZE];
-    for i in 0..count {
-        read_exact_or(&mut r, &mut rec, "record")?;
-        accesses.push(decode_record(&rec, i)?);
-    }
-    Ok(Trace::new(name, accesses))
-}
-
 /// Incremental writer for the chunked `planaria-trace-v1` format.
 ///
 /// The writer takes the total access count up front (the header is the
 /// first thing on the wire) and enforces it: over- or under-feeding is an
 /// error at [`ChunkedTraceWriter::write_chunk`] / `finish` time, so a
 /// packed file's header can always be trusted by readers that honour the
-/// bounds rules. Chunks passed in may be any size; they are re-framed to
-/// at most [`MAX_CHUNK_RECORDS`] records per frame.
+/// bounds rules. It enforces arrival order the same way: a cycle smaller
+/// than its predecessor's, within one call or across calls, is rejected
+/// before any of that call's records are written, so every file it
+/// finishes is one [`ChunkedTraceReader`] accepts. Chunks passed in may
+/// be any size; they are re-framed to at most [`MAX_CHUNK_RECORDS`]
+/// records per frame.
 ///
 /// See `TRACE_FORMAT.md` for the byte layout.
 pub struct ChunkedTraceWriter<W: Write> {
     w: W,
     declared: u64,
     written: u64,
+    /// Cycle of the last written record, for order validation.
+    last_cycle: Cycle,
     buf: Vec<u8>,
 }
 
@@ -397,7 +350,13 @@ impl<W: Write> ChunkedTraceWriter<W> {
         let name_len = u16::try_from(name.len()).expect("checked against MAX_NAME_LEN");
         w.write_all(&name_len.to_le_bytes())?;
         w.write_all(name.as_bytes())?;
-        Ok(Self { w, declared: total_accesses, written: 0, buf: Vec::new() })
+        Ok(Self {
+            w,
+            declared: total_accesses,
+            written: 0,
+            last_cycle: Cycle::ZERO,
+            buf: Vec::new(),
+        })
     }
 
     /// Appends `accesses` to the trace, framing as needed.
@@ -406,7 +365,7 @@ impl<W: Write> ChunkedTraceWriter<W> {
     ///
     /// Returns an [`io::Error`] from the underlying writer, or one of kind
     /// [`io::ErrorKind::InvalidInput`] if this write would exceed the
-    /// declared total.
+    /// declared total or steps back in cycle order.
     pub fn write_chunk(&mut self, accesses: &[MemAccess]) -> io::Result<()> {
         if self.written + accesses.len() as u64 > self.declared {
             return Err(io::Error::new(
@@ -419,6 +378,21 @@ impl<W: Write> ChunkedTraceWriter<W> {
                 ),
             ));
         }
+        let mut last = self.last_cycle;
+        for (i, a) in accesses.iter().enumerate() {
+            if a.cycle < last {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    format!(
+                        "write_chunk out of cycle order: access {} at cycle {} follows cycle {}",
+                        self.written + i as u64,
+                        a.cycle.as_u64(),
+                        last.as_u64()
+                    ),
+                ));
+            }
+            last = a.cycle;
+        }
         for frame in accesses.chunks(max_chunk_records()) {
             let frame_len = u32::try_from(frame.len()).expect("frame chunked to MAX_CHUNK_RECORDS");
             self.w.write_all(&frame_len.to_le_bytes())?;
@@ -430,6 +404,7 @@ impl<W: Write> ChunkedTraceWriter<W> {
             self.w.write_all(&self.buf)?;
         }
         self.written += accesses.len() as u64;
+        self.last_cycle = last;
         Ok(())
     }
 
@@ -730,15 +705,6 @@ mod tests {
     }
 
     #[test]
-    fn binary_round_trip() {
-        let t = sample_trace();
-        let mut buf = Vec::new();
-        write_binary(&t, &mut buf).expect("write");
-        let back = read_binary("sample", buf.as_slice()).expect("read");
-        assert_eq!(back.accesses(), t.accesses());
-    }
-
-    #[test]
     fn text_skips_comments_and_blanks() {
         let src = "# hello\n\nR 0x40 cpu0 1\n";
         let t = read_text("t", src.as_bytes()).expect("read");
@@ -752,59 +718,6 @@ mod tests {
         assert!(read_text("t", "R 0x40 speaker 1\n".as_bytes()).is_err());
         assert!(read_text("t", "R 0x40 cpu0 abc\n".as_bytes()).is_err());
         assert!(read_text("t", "R 0x40 cpu0 1 extra\n".as_bytes()).is_err());
-    }
-
-    #[test]
-    fn binary_rejects_bad_magic_and_version() {
-        let mut buf = Vec::new();
-        write_binary(&sample_trace(), &mut buf).expect("write");
-        let mut bad = buf.clone();
-        bad[0] = b'X';
-        assert!(matches!(read_binary("t", bad.as_slice()), Err(ParseTraceError::BadMagic)));
-        let mut badv = buf.clone();
-        badv[4] = 99;
-        assert!(matches!(
-            read_binary("t", badv.as_slice()),
-            Err(ParseTraceError::UnsupportedVersion(99))
-        ));
-        let truncated = &buf[..buf.len() - 1];
-        assert!(matches!(
-            read_binary("t", truncated),
-            Err(ParseTraceError::Truncated { what: "record" })
-        ));
-    }
-
-    #[test]
-    fn binary_bounds_checks_untrusted_count() {
-        // A header declaring u64::MAX records must fail with a truncation
-        // error once the records run out — and must NOT try to reserve
-        // u64::MAX capacity first (this test would abort the process if it
-        // did).
-        let mut buf = Vec::new();
-        write_binary(&sample_trace(), &mut buf).expect("write");
-        buf[5..13].copy_from_slice(&u64::MAX.to_le_bytes());
-        assert!(matches!(
-            read_binary("t", buf.as_slice()),
-            Err(ParseTraceError::Truncated { what: "record" })
-        ));
-    }
-
-    #[test]
-    fn binary_rejects_bad_kind_and_device() {
-        let mut buf = Vec::new();
-        write_binary(&sample_trace(), &mut buf).expect("write");
-        let mut bad_kind = buf.clone();
-        bad_kind[13 + 16] = 7; // first record's kind byte
-        assert!(matches!(
-            read_binary("t", bad_kind.as_slice()),
-            Err(ParseTraceError::BadRecord { index: 0, what: "kind", value: 7 })
-        ));
-        let mut bad_dev = buf.clone();
-        bad_dev[13 + RECORD_SIZE + 17] = 200; // second record's device byte
-        assert!(matches!(
-            read_binary("t", bad_dev.as_slice()),
-            Err(ParseTraceError::BadRecord { index: 1, what: "device", value: 200 })
-        ));
     }
 
     #[test]
@@ -850,6 +763,22 @@ mod tests {
         assert!(w.finish().is_err(), "underfeed must fail at finish");
     }
 
+    #[test]
+    fn chunked_writer_rejects_cycles_out_of_order() {
+        let at = |cycle| MemAccess::read(PhysAddr::new(0x40), Cycle::new(cycle));
+        let mut w = ChunkedTraceWriter::new(Vec::new(), "t", 2).expect("header");
+        let err = w.write_chunk(&[at(5), at(3)]).expect_err("a step back within a call");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        // The check spans calls, and a rejected call writes nothing.
+        let mut w = ChunkedTraceWriter::new(Vec::new(), "t", 2).expect("header");
+        w.write_chunk(&[at(5)]).expect("first");
+        let err = w.write_chunk(&[at(3)]).expect_err("a step back across calls");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        w.write_chunk(&[at(5)]).expect("an equal cycle is in order");
+        let packed = w.finish().expect("finish");
+        assert_eq!(read_chunked(packed.as_slice()).expect("read").len(), 2);
+    }
+
     /// A well-formed single-frame packed copy of [`sample_trace`].
     fn packed_sample() -> Vec<u8> {
         let mut buf = Vec::new();
@@ -885,6 +814,76 @@ mod tests {
             ChunkedTraceReader::new(&buf[..10]),
             Err(ParseTraceError::Truncated { what: "header" })
         ));
+    }
+
+    /// Offset of the first record in [`packed_sample`]: the 26-byte fixed
+    /// header, the name `"sample"` and one 4-byte frame count.
+    const SAMPLE_RECORD0: usize = 26 + "sample".len() + 4;
+
+    #[test]
+    fn chunked_rejects_bad_kind_and_device() {
+        let buf = packed_sample();
+        let mut bad_kind = buf.clone();
+        bad_kind[SAMPLE_RECORD0 + 16] = 7; // first record's kind byte
+        assert!(matches!(
+            read_chunked(bad_kind.as_slice()),
+            Err(ParseTraceError::BadRecord { index: 0, what: "kind", value: 7 })
+        ));
+        let mut bad_dev = buf;
+        bad_dev[SAMPLE_RECORD0 + RECORD_SIZE + 17] = 200; // second record's device byte
+        assert!(matches!(
+            read_chunked(bad_dev.as_slice()),
+            Err(ParseTraceError::BadRecord { index: 1, what: "device", value: 200 })
+        ));
+    }
+
+    #[test]
+    fn chunked_bounds_checks_untrusted_count() {
+        // A header declaring u64::MAX accesses must fail once the frames
+        // end — and must NOT try to reserve u64::MAX capacity first (this
+        // test would abort the process if it did).
+        let mut buf = packed_sample();
+        buf[16..24].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(matches!(
+            read_chunked(buf.as_slice()),
+            Err(ParseTraceError::CountMismatch { declared: u64::MAX, found: 3 })
+        ));
+    }
+
+    /// Every single-bit flip of `input`, in bit order.
+    fn bit_flips(input: &[u8]) -> impl Iterator<Item = (usize, Vec<u8>)> + '_ {
+        (0..input.len() * 8).map(move |bit| {
+            let mut flipped = input.to_vec();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            (bit, flipped)
+        })
+    }
+
+    #[test]
+    fn chunked_mutation_sweep_errs_or_reserialises_exactly() {
+        let packed = packed_sample();
+        for (bit, flipped) in bit_flips(&packed) {
+            if let Ok(trace) = read_chunked(flipped.as_slice()) {
+                let mut again = Vec::new();
+                write_chunked(&trace, &mut again).expect("write");
+                assert_eq!(again, flipped, "bit {bit} parsed to a different trace");
+            }
+        }
+        for len in 0..packed.len() {
+            assert!(read_chunked(&packed[..len]).is_err(), "truncation to {len} bytes parsed");
+        }
+    }
+
+    #[test]
+    fn text_mutation_sweep_never_panics() {
+        let mut text = Vec::new();
+        write_text(&sample_trace(), &mut text).expect("write");
+        for (_, flipped) in bit_flips(&text) {
+            let _ = read_text("t", flipped.as_slice());
+        }
+        for len in 0..text.len() {
+            let _ = read_text("t", &text[..len]);
+        }
     }
 
     #[test]
@@ -928,8 +927,7 @@ mod tests {
         assert!(matches!(read_chunked(trailing.as_slice()), Err(ParseTraceError::TrailingData)));
         // Out-of-order records (swap the first record's cycle up).
         let mut unsorted = buf.clone();
-        let rec0 = frame_at + 4;
-        unsorted[rec0 + 8..rec0 + 16].copy_from_slice(&99u64.to_le_bytes());
+        unsorted[SAMPLE_RECORD0 + 8..SAMPLE_RECORD0 + 16].copy_from_slice(&99u64.to_le_bytes());
         assert!(matches!(
             read_chunked(unsorted.as_slice()),
             Err(ParseTraceError::OutOfOrder { index: 1 })
@@ -971,15 +969,6 @@ mod tests {
             let mut buf = Vec::new();
             write_text(&t, &mut buf).expect("write");
             let back = read_text("p", buf.as_slice()).expect("read");
-            prop_assert_eq!(back.accesses(), t.accesses());
-        }
-
-        #[test]
-        fn prop_binary_round_trip(accs in proptest::collection::vec(arb_access(), 0..50)) {
-            let t = Trace::new("p", accs);
-            let mut buf = Vec::new();
-            write_binary(&t, &mut buf).expect("write");
-            let back = read_binary("p", buf.as_slice()).expect("read");
             prop_assert_eq!(back.accesses(), t.accesses());
         }
 

@@ -26,8 +26,8 @@
 //! * [`stream`] — pull-based [`stream::AccessStream`] chunked rendering
 //!   and replay, for runs too large to materialize
 //!   ([`WorkloadSpec::stream`], [`Trace::stream`]).
-//! * [`io`] — text and binary serialisation of traces, including the
-//!   chunked on-disk `planaria-trace-v1` format (see `TRACE_FORMAT.md`).
+//! * [`io`] — the text and chunked binary `planaria-trace-v1` encodings
+//!   of traces (see `TRACE_FORMAT.md`).
 //! * [`filter`] — per-device private-cache filtering for users bringing
 //!   raw core-side traces (the SC only sees what the upper levels miss).
 //!
@@ -53,4 +53,4 @@ mod trace;
 
 pub use stream::{AccessStream, TraceStream, WorkloadStream};
 pub use synth::{ComponentSpec, WeightedComponent, WorkloadSpec};
-pub use trace::{DeviceStream, Trace, TraceSummary};
+pub use trace::{DeviceStream, Trace};

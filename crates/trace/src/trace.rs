@@ -1,7 +1,5 @@
 //! The in-memory trace container and its summary statistics.
 
-use std::fmt;
-
 use planaria_common::{DeviceId, MemAccess, PageNum};
 use planaria_hash::FastHashSet;
 
@@ -74,17 +72,6 @@ impl Trace {
         }
         let reads = self.accesses.iter().filter(|a| a.kind.is_read()).count();
         reads as f64 / self.accesses.len() as f64
-    }
-
-    /// Computes a one-line summary of the trace.
-    pub fn summary(&self) -> TraceSummary {
-        TraceSummary {
-            name: self.name.clone(),
-            accesses: self.len(),
-            unique_pages: self.unique_pages(),
-            duration: self.duration(),
-            read_fraction: self.read_fraction(),
-        }
     }
 
     /// Truncates the trace to its first `n` accesses (no-op if shorter).
@@ -197,35 +184,6 @@ impl Extend<MemAccess> for Trace {
     }
 }
 
-/// Aggregate statistics of a [`Trace`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceSummary {
-    /// Workload name.
-    pub name: String,
-    /// Number of accesses.
-    pub accesses: usize,
-    /// Number of distinct pages.
-    pub unique_pages: usize,
-    /// First-to-last arrival span in cycles.
-    pub duration: u64,
-    /// Fraction of reads.
-    pub read_fraction: f64,
-}
-
-impl fmt::Display for TraceSummary {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}: {} accesses, {} pages, {} cycles, {:.1}% reads",
-            self.name,
-            self.accesses,
-            self.unique_pages,
-            self.duration,
-            self.read_fraction * 100.0
-        )
-    }
-}
-
 /// Returns the first cycle at which the trace is non-decreasing — used by
 /// tests to assert the sortedness invariant.
 #[cfg(test)]
@@ -259,12 +217,10 @@ mod tests {
             Cycle::new(20),
         ));
         let t = Trace::new("s", v);
-        let s = t.summary();
-        assert_eq!(s.accesses, 4);
-        assert_eq!(s.unique_pages, 3);
-        assert_eq!(s.duration, 20);
-        assert!((s.read_fraction - 0.75).abs() < 1e-12);
-        assert!(!s.to_string().is_empty());
+        assert_eq!(t.len(), 4);
+        assert_eq!(t.unique_pages(), 3);
+        assert_eq!(t.duration(), 20);
+        assert!((t.read_fraction() - 0.75).abs() < 1e-12);
     }
 
     #[test]
