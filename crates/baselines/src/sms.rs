@@ -21,7 +21,7 @@
 //! * a *new* generation's trigger looks up that table and prefetches the
 //!   predicted footprint in the new page.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use planaria_common::{
     Bitmap64, BlockIndex, Cycle, MemAccess, PageNum, PhysAddr, PrefetchOrigin, PrefetchRequest,
@@ -58,7 +58,7 @@ struct Generation {
 #[derive(Debug, Clone)]
 pub struct Sms {
     cfg: SmsConfig,
-    active: HashMap<u64, Generation>,
+    active: BTreeMap<u64, Generation>,
     expiry: VecDeque<(u64, Cycle)>,
     /// Pattern history indexed by trigger offset (0..64).
     pht: [Bitmap64; BLOCKS_PER_PAGE],
@@ -75,7 +75,7 @@ impl Sms {
     pub fn new(cfg: SmsConfig) -> Self {
         assert!(cfg.active_entries > 0, "active table must be non-empty");
         Self {
-            active: HashMap::with_capacity(cfg.active_entries),
+            active: BTreeMap::new(),
             expiry: VecDeque::new(),
             pht: [Bitmap64::EMPTY; BLOCKS_PER_PAGE],
             pht_valid: [false; BLOCKS_PER_PAGE],
@@ -109,8 +109,10 @@ impl Sms {
         }
     }
 
+    /// Ends the least recently touched generation; equal stamps evict the
+    /// lowest page, so the victim never depends on map order.
     fn evict_oldest(&mut self) {
-        if let Some((&victim, _)) = self.active.iter().min_by_key(|(_, g)| g.last) {
+        if let Some((&victim, _)) = self.active.iter().min_by_key(|&(&page, g)| (g.last, page)) {
             let gen = self.active.remove(&victim).expect("victim exists");
             self.train(gen);
         }
@@ -263,6 +265,28 @@ mod tests {
         run(&mut sms, 3, &[1], 200);
         let out = run(&mut sms, 9, &[5], 300);
         assert!(!out.is_empty(), "evicted generation must have trained");
+    }
+
+    #[test]
+    fn equal_stamps_evict_the_lowest_page() {
+        // Pages 1 and 2 tie on their last-touch cycle, so only the
+        // tie-break picks the victim: page 1, whose {0, 3} then predicts
+        // page 3. A hash-ordered victim search flips between instances.
+        let cfg =
+            SmsConfig { active_entries: 2, generation_timeout: 1_000_000, min_pattern_blocks: 2 };
+        for _ in 0..16 {
+            let mut sms = Sms::new(cfg);
+            let mut out = Vec::new();
+            for (page, block) in [(1, 0), (1, 3), (2, 0), (2, 7)] {
+                sms.on_access(&access(page, block, 5), false, &mut out);
+            }
+            sms.on_access(&access(3, 0, 6), false, &mut out);
+            let got: Vec<(u64, usize)> = out
+                .iter()
+                .map(|r| (r.addr.page().as_u64(), r.addr.block_index().as_usize()))
+                .collect();
+            assert_eq!(got, [(3, 3)]);
+        }
     }
 
     #[test]

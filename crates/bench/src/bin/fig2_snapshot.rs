@@ -9,7 +9,8 @@
 //! cargo run --release -p planaria-bench --bin fig2_snapshot
 //! ```
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::BTreeMap;
 
 use planaria_common::PageNum;
 use planaria_trace::apps::{profile, AppId};
@@ -19,12 +20,14 @@ const TIME_COLS: usize = 100;
 fn main() {
     let trace = profile(AppId::Cfm).scaled(400_000).build();
 
-    // Pick the most accessed page.
-    let mut counts: HashMap<PageNum, usize> = HashMap::new();
+    // Pick the most accessed page; many footprint pages tie, and the
+    // lowest of them wins so every run draws the same page.
+    let mut counts: BTreeMap<PageNum, usize> = BTreeMap::new();
     for a in trace.iter() {
         *counts.entry(a.addr.page()).or_default() += 1;
     }
-    let (&page, &n) = counts.iter().max_by_key(|(_, &c)| c).expect("non-empty trace");
+    let (&page, &n) =
+        counts.iter().max_by_key(|&(&page, &c)| (c, Reverse(page))).expect("non-empty trace");
     println!("Figure 2: footprint snapshot of {page} ({n} accesses) in a CFM-like trace\n");
 
     let events: Vec<(u64, usize)> = trace

@@ -1,10 +1,10 @@
 //! Shared JSON plumbing for every emitter in the workspace.
 //!
 //! The workspace builds offline, without `serde_json`: every JSON document
-//! it emits (the `planaria-perf-stream-v1` / `planaria-contention-v1` /
-//! `planaria-lint-v2` measurement schemas, the telemetry JSONL stream) is
-//! written by hand. This module is the single home for that plumbing —
-//! `planaria-lint` rule R6 rejects escape helpers or schema emitters
+//! it emits (the `planaria-perf-stream-v1` / `planaria-contention-v1`
+//! measurement schemas, the telemetry JSONL stream) is written by hand.
+//! This module is the single home for that plumbing —
+//! `tests/workspace_policy.rs` rejects escape helpers or schema emitters
 //! defined anywhere else:
 //!
 //! * [`escape`] — JSON string-literal escaping;

@@ -15,7 +15,7 @@
 //! * [`prefetch`] — prefetch request records produced by prefetchers.
 //! * [`json`] — the shared JSON escape/writer/parser helpers every emitter
 //!   in the workspace routes through (there is no `serde_json`; see the
-//!   module docs and `planaria-lint` rule R6).
+//!   module docs and `tests/workspace_policy.rs`).
 //!
 //! # Geometry
 //!

@@ -49,6 +49,8 @@
 //! assert_eq!(report.total_accesses(), 2_000);
 //! ```
 
+#![deny(clippy::disallowed_types)]
+
 mod device;
 mod service;
 mod shard;

@@ -713,6 +713,11 @@ impl MemorySystem {
         // the latency alone would inflate steady-state AMAT. The fills
         // themselves still land correctly: merged demand entries already
         // carry `origin: None` and keep their `wrote` flag.
+        #[allow(
+            clippy::disallowed_methods,
+            clippy::iter_over_hash_type,
+            reason = "clears every entry the same way, so visit order cannot matter"
+        )]
         for entry in self.inflight.values_mut() {
             entry.waiters.clear();
         }

@@ -136,8 +136,7 @@ fn cmd_convert(args: &[String]) -> Result<(), String> {
     let [input, output] = args else { return Err("convert needs <IN> <OUT>".into()) };
     // `File::create(output)` would truncate an input the reader has not
     // finished with.
-    let canonical = std::fs::canonicalize::<&str>;
-    if canonical(input).is_ok_and(|a| canonical(output).is_ok_and(|b| a == b)) {
+    if same_file(input, output) {
         return Err(format!("refusing to convert {input} onto itself"));
     }
     let total = if output.ends_with(".txt") {
@@ -152,6 +151,22 @@ fn cmd_convert(args: &[String]) -> Result<(), String> {
     };
     println!("converted {input} -> {output} ({total} accesses)");
     Ok(())
+}
+
+/// True when both paths exist and name one file: the same path, another
+/// spelling of it, a symlink to it or (on Unix) a hard link to it.
+fn same_file(a: &str, b: &str) -> bool {
+    #[cfg(unix)]
+    {
+        use std::os::unix::fs::MetadataExt;
+        let id = |p: &str| std::fs::metadata(p).map(|m| (m.dev(), m.ino()));
+        id(a).is_ok_and(|a| id(b).is_ok_and(|b| a == b))
+    }
+    #[cfg(not(unix))]
+    {
+        let canonical = std::fs::canonicalize::<&str>;
+        canonical(a).is_ok_and(|a| canonical(b).is_ok_and(|b| a == b))
+    }
 }
 
 fn cmd_info(args: &[String]) -> Result<(), String> {

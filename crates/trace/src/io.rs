@@ -163,18 +163,25 @@ pub fn write_text<W: Write>(trace: &Trace, mut w: W) -> io::Result<()> {
 
 /// Reads a trace from the text format.
 ///
+/// The first `# trace: NAME` comment, as [`write_text`] writes it, names
+/// the trace; `name` is the fallback for text without one.
+///
 /// # Errors
 ///
 /// Returns [`ParseTraceError::Line`] on malformed lines and
 /// [`ParseTraceError::Io`] on IO failures.
 pub fn read_text<R: Read>(name: impl Into<String>, r: R) -> Result<Trace, ParseTraceError> {
     let reader = BufReader::new(r);
+    let mut header = None;
     let mut accesses = Vec::new();
     for (i, line) in reader.lines().enumerate() {
         let lineno = i + 1;
         let line = line?;
         let line = line.trim();
         if line.is_empty() || line.starts_with('#') {
+            if header.is_none() {
+                header = line.strip_prefix("# trace:").map(|n| n.trim().to_string());
+            }
             continue;
         }
         let mut parts = line.split_whitespace();
@@ -208,7 +215,7 @@ pub fn read_text<R: Read>(name: impl Into<String>, r: R) -> Result<Trace, ParseT
         }
         accesses.push(MemAccess::new(addr, kind, device, cycle));
     }
-    Ok(Trace::new(name, accesses))
+    Ok(Trace::new(header.unwrap_or_else(|| name.into()), accesses))
 }
 
 const RECORD_SIZE: usize = 18;
@@ -702,6 +709,17 @@ mod tests {
         write_text(&t, &mut buf).expect("write");
         let back = read_text("sample", buf.as_slice()).expect("read");
         assert_eq!(back.accesses(), t.accesses());
+    }
+
+    #[test]
+    fn text_round_trip_keeps_the_header_name() {
+        let t = sample_trace();
+        let mut buf = Vec::new();
+        write_text(&t, &mut buf).expect("write");
+        let back = read_text("fallback", buf.as_slice()).expect("read");
+        assert_eq!(back.name(), t.name());
+        let headerless = read_text("fallback", "R 0x40 cpu0 1\n".as_bytes()).expect("read");
+        assert_eq!(headerless.name(), "fallback");
     }
 
     #[test]

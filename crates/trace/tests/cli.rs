@@ -55,15 +55,17 @@ fn v1_to_text_to_v1_keeps_every_access() {
     assert!(fs::read_to_string(&text).expect("text output").starts_with("# trace: HoK\n"));
     assert_eq!(load(&repacked).accesses(), load(&packed).accesses());
     let head = head(trace_pack(&["info", &text]));
-    assert!(head.starts_with("hok: 2000 accesses, ") && head.ends_with("% reads (text)"), "{head}");
+    assert!(head.starts_with("HoK: 2000 accesses, ") && head.ends_with("% reads (text)"), "{head}");
 }
 
 #[test]
 fn in_place_convert_is_refused_and_leaves_the_input_intact() {
     let (dir, packed) = record("in_place_convert");
     let before = fs::read(&packed).expect("read input");
-    // The same file under a second spelling must be caught too.
-    for out_path in [packed.clone(), format!("{dir}/./hok.ptrace")] {
+    // The same file under a second spelling or a hard link must be caught too.
+    let link = format!("{dir}/link.ptrace");
+    fs::hard_link(&packed, &link).expect("hard link");
+    for out_path in [packed.clone(), format!("{dir}/./hok.ptrace"), link] {
         let out = trace_pack(&["convert", &packed, &out_path]);
         assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
         assert!(stderr(&out).contains("onto itself"), "{}", stderr(&out));
