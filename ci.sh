@@ -66,10 +66,19 @@ if [[ "${1:-}" != "fast" ]]; then
     # The service-layer scale gate: every session is a live snapshottable
     # state machine (SC + prefetcher + DRAM), all resident at once. Short
     # per-session traces keep the wall clock down; the concurrency is the
-    # point. --check validates the emitted planaria-serve-v1 document.
+    # point. --check validates the emitted planaria-serve-v1 document, and
+    # the peak RSS must stay under 100 KiB per resident device.
+    devices=100000
     cargo run --release -q -p planaria-bench --bin serve_load -- \
-        --devices 100000 --len 40 --out target/serve_load_ci.json
+        --devices "$devices" --len 40 --out target/serve_load_ci.json
     cargo run --release -q -p planaria-bench --bin serve_load -- --check target/serve_load_ci.json
+    rss=$(grep -oE '"peak_rss_kb": [0-9]+' target/serve_load_ci.json | grep -oE '[0-9]+$' || true)
+    if [[ -z "$rss" || "$rss" -gt $((100 * devices)) ]]; then
+        echo "serve load: peak RSS ${rss:-unknown} KiB exceeds 100 KiB x $devices devices"
+        exit 1
+    fi
+    echo "serve load: peak RSS $rss KiB, $(awk -v r="$rss" -v d="$devices" \
+        'BEGIN { printf "%.1f", r / d }') KiB per device"
 
     step "streamed replay (pack 10M accesses, replay from disk in flat memory)"
     # Exercises the full on-disk path at a size where materializing the

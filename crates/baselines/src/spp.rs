@@ -17,7 +17,7 @@ use planaria_common::{
     MemAccess, PageNum, PhysAddr, PrefetchOrigin, PrefetchRequest, BLOCKS_PER_PAGE,
 };
 use planaria_core::Prefetcher;
-use planaria_hash::{map_with_capacity, FastHashMap};
+use planaria_hash::FastHashMap;
 
 /// Deltas per pattern-table entry.
 const PT_WAYS: usize = 4;
@@ -104,7 +104,7 @@ impl Spp {
     pub fn new(cfg: SppConfig) -> Self {
         assert!(cfg.st_entries > 0 && cfg.pt_entries > 0, "tables must be non-empty");
         Self {
-            st_index: map_with_capacity(cfg.st_entries),
+            st_index: FastHashMap::default(),
             st_pages: vec![0; cfg.st_entries],
             st_filled: 0,
             st: vec![StEntry::default(); cfg.st_entries],

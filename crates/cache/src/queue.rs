@@ -8,9 +8,13 @@
 use std::collections::VecDeque;
 
 use planaria_common::PrefetchRequest;
-use planaria_hash::{set_with_capacity, FastHashSet};
+use planaria_hash::FastHashSet;
 
 /// A bounded FIFO of pending prefetch requests with block-level dedup.
+///
+/// Both containers start empty and grow to what they hold; [`Self::push`]
+/// enforces the bound, so an unbounded queue (`usize::MAX`) costs nothing
+/// up front.
 #[derive(Debug, Clone)]
 pub struct PrefetchQueue {
     queue: VecDeque<PrefetchRequest>,
@@ -33,8 +37,8 @@ impl PrefetchQueue {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "prefetch queue capacity must be positive");
         Self {
-            queue: VecDeque::with_capacity(capacity),
-            pending_blocks: set_with_capacity(capacity),
+            queue: VecDeque::new(),
+            pending_blocks: FastHashSet::default(),
             capacity,
             dropped_full: 0,
             dropped_duplicate: 0,

@@ -112,6 +112,8 @@ fn checked_offset(offset: usize) -> u8 {
 /// Shared slot bookkeeping for the SoA tables: a `page → slot` hash index,
 /// the dense `pages` array it mirrors, a validity bitmask driving scans,
 /// and a free list recycling slots. Field arrays live in the owning table.
+/// Only the tables that evict by recency ([`Self::stamped`]: the FT and
+/// AT) carry last-touch stamps and the eviction heap.
 #[derive(Debug, Clone)]
 struct SlotMap {
     index: FixedIndex,
@@ -119,8 +121,10 @@ struct SlotMap {
     pages: Vec<u64>,
     /// Bit *s* set ⇔ slot *s* holds a live entry.
     valid: Vec<u64>,
-    /// Recyclable slots, popped in ascending order at first fill.
+    /// Released slots, reused last-in first-out before any fresh slot.
     free: Vec<u32>,
+    /// Slots `fresh..` have never been handed out.
+    fresh: usize,
     /// Last page probed. Demand accesses arrive in page bursts, and each
     /// access probes the same table more than once (learn then issue), so
     /// this one-entry memo short-circuits most index probes. `u64::MAX`
@@ -130,8 +134,8 @@ struct SlotMap {
     /// are safe to memoize because the only insertion path, [`Self::alloc`],
     /// refreshes the memo.
     memo_slot: u32,
-    /// Last-touch stamp per slot; meaningful only where `valid` is set and
-    /// only for tables that call [`Self::set_last`] (the PT evicts FIFO and
+    /// Last-touch stamp per slot, meaningful only where `valid` is set.
+    /// Empty unless built by [`Self::stamped`] (the PT evicts FIFO and
     /// never stamps).
     lasts: Vec<Cycle>,
     /// Lazy min-heap over `(last, page)` touch snapshots. Every live
@@ -144,17 +148,25 @@ struct SlotMap {
 }
 
 impl SlotMap {
+    /// A map of `slots` slots without recency stamps.
     fn new(slots: usize) -> Self {
         Self {
             index: FixedIndex::with_capacity(slots),
             pages: vec![0; slots],
             valid: vec![0; slots.div_ceil(64)],
-            free: (0..slots as u32).rev().collect(),
+            free: Vec::new(),
+            fresh: 0,
             memo_page: u64::MAX,
             memo_slot: u32::MAX,
-            lasts: vec![Cycle::ZERO; slots],
+            lasts: Vec::new(),
             heap: BinaryHeap::new(),
         }
+    }
+
+    /// A map of `slots` slots that also keeps last-touch stamps for
+    /// [`Self::oldest`].
+    fn stamped(slots: usize) -> Self {
+        Self { lasts: vec![Cycle::ZERO; slots], ..Self::new(slots) }
     }
 
     fn len(&self) -> usize {
@@ -174,7 +186,15 @@ impl SlotMap {
 
     /// Claims a free slot for `page`. The caller must have made room.
     fn alloc(&mut self, page: u64) -> usize {
-        let slot = self.free.pop().expect("capacity eviction precedes allocation") as usize;
+        let slot = match self.free.pop() {
+            Some(slot) => slot as usize,
+            None => {
+                let slot = self.fresh;
+                assert!(slot < self.pages.len(), "capacity eviction precedes allocation");
+                self.fresh += 1;
+                slot
+            }
+        };
         self.index.insert(page, slot as u32);
         self.pages[slot] = page;
         self.valid[slot / 64] |= 1 << (slot % 64);
@@ -275,7 +295,7 @@ impl FilterTable {
     pub(crate) fn new(capacity: usize, timeout: u64) -> Self {
         assert!(capacity > 0, "FT capacity must be positive");
         Self {
-            slots: SlotMap::new(capacity),
+            slots: SlotMap::stamped(capacity),
             offsets: vec![[0; FT_PROMOTE_COUNT]; capacity],
             counts: vec![0; capacity],
             expiry: VecDeque::new(),
@@ -381,7 +401,7 @@ impl AccumulationTable {
     pub(crate) fn new(capacity: usize, timeout: u64) -> Self {
         assert!(capacity > 0, "AT capacity must be positive");
         Self {
-            slots: SlotMap::new(capacity),
+            slots: SlotMap::stamped(capacity),
             bitmaps: vec![Bitmap16::EMPTY; capacity],
             expiry: VecDeque::new(),
             capacity,
@@ -486,7 +506,7 @@ impl PatternTable {
         Self {
             slots: SlotMap::new(capacity + 1),
             bitmaps: vec![Bitmap16::EMPTY; capacity + 1],
-            fifo: VecDeque::with_capacity(capacity),
+            fifo: VecDeque::new(),
             capacity,
             merge,
             accesses: 0,
@@ -587,7 +607,7 @@ mod tests {
             ops in proptest::collection::vec((0u64..24, any::<bool>()), 1..400),
         ) {
             const CAP: usize = 8;
-            let mut sm = SlotMap::new(CAP);
+            let mut sm = SlotMap::stamped(CAP);
             let mut model: std::collections::BTreeMap<u64, Cycle> = Default::default();
             for (i, &(page, release)) in ops.iter().enumerate() {
                 let now = Cycle::new(i as u64 + 1);
@@ -637,7 +657,7 @@ mod tests {
             ops in proptest::collection::vec((0u64..32, any::<bool>()), 1..500),
         ) {
             const CAP: usize = 8;
-            let mut sm = SlotMap::new(CAP);
+            let mut sm = SlotMap::stamped(CAP);
             for (i, &(page, release)) in ops.iter().enumerate() {
                 // Divided stamps collide on purpose: the page tiebreak is
                 // where a subtly wrong heap order would surface.
@@ -657,6 +677,28 @@ mod tests {
                 }
                 let heap_pick = sm.oldest();
                 prop_assert_eq!(heap_pick, oldest_linear(&sm), "victim choice diverged");
+            }
+        }
+
+        /// The fresh-slot cursor plus the recycled list hands out exactly
+        /// the slots the old free list did: a stack pre-filled with every
+        /// slot, popped in ascending order, released slots pushed back.
+        #[test]
+        fn slot_order_matches_prefilled_free_stack(
+            ops in proptest::collection::vec((0u64..24, any::<bool>()), 1..400),
+        ) {
+            const CAP: usize = 8;
+            let mut sm = SlotMap::new(CAP);
+            let mut stack: Vec<u32> = (0..CAP as u32).rev().collect();
+            for &(page, release) in &ops {
+                if release {
+                    if let Some(slot) = sm.release(page) {
+                        stack.push(slot as u32);
+                    }
+                } else if sm.get(page).is_none() && sm.len() < CAP {
+                    let want = stack.pop().expect("a free slot remains") as usize;
+                    prop_assert_eq!(sm.alloc(page), want, "slot order diverged");
+                }
             }
         }
 
@@ -853,6 +895,20 @@ mod tests {
         pt.insert(3, Bitmap16::from_bits(0b100)); // evicts 1 (still oldest)
         assert!(pt.lookup(1).is_none());
         assert_eq!(pt.lookup(2), Some(Bitmap16::from_bits(0b10)));
+    }
+
+    #[test]
+    fn pt_keeps_no_recency_stamps() {
+        // The PT evicts FIFO, so its slot map holds no stamps; the FT and
+        // AT, which evict by recency, carry one per slot.
+        let mut pt = PatternTable::new(4);
+        for page in 0..10 {
+            pt.insert(page, Bitmap16::from_bits(0b1));
+        }
+        assert_eq!(pt.len(), 4);
+        assert!(pt.slots.lasts.is_empty());
+        assert_eq!(FilterTable::new(4, 100).slots.lasts.len(), 4);
+        assert_eq!(AccumulationTable::new(4, 100).slots.lasts.len(), 4);
     }
 
     #[test]

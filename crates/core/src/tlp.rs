@@ -103,7 +103,7 @@ impl ChannelTlp {
         Self {
             segment,
             cfg: *cfg,
-            by_page: Vec::with_capacity(cfg.entries),
+            by_page: Vec::new(),
             pages: vec![0; cfg.entries],
             bitmaps: vec![Bitmap16::EMPTY; cfg.entries],
             lasts: vec![Cycle::ZERO; cfg.entries],

@@ -41,6 +41,8 @@ struct Candidate {
 pub(crate) struct Channel {
     cfg: DramConfig,
     banks: Vec<Bank>,
+    /// Queued requests. The vector grows to what it holds; `has_room`
+    /// enforces `queue_depth`.
     queue: Vec<Pending>,
     /// Command-bus gate: one command per `t_cmd`.
     next_cmd: Cycle,
@@ -70,7 +72,7 @@ impl Channel {
     pub(crate) fn new(cfg: DramConfig) -> Self {
         Self {
             banks: (0..cfg.map.banks).map(|_| Bank::new()).collect(),
-            queue: Vec::with_capacity(cfg.queue_depth),
+            queue: Vec::new(),
             next_cmd: Cycle::ZERO,
             next_rd: Cycle::ZERO,
             next_wr: Cycle::ZERO,

@@ -4,7 +4,7 @@ use planaria_cache::{AccessResult, CacheConfig, PrefetchQueue, SetAssocCache};
 use planaria_common::{Cycle, DeviceId, MemAccess, PhysAddr, PrefetchOrigin, PrefetchRequest};
 use planaria_core::Prefetcher;
 use planaria_dram::{Completion, DramConfig, MemoryController, Priority};
-use planaria_hash::{map_with_capacity, FastHashMap};
+use planaria_hash::FastHashMap;
 use planaria_telemetry::{EventKind, Telemetry, TelemetryConfig, TelemetryReport};
 use planaria_trace::stream::AccessStream;
 
@@ -83,7 +83,8 @@ impl Default for SystemConfig {
 
 /// Demand accesses waiting on one in-flight fill: each entry is the
 /// demand's arrival cycle plus its device index (for per-device latency
-/// attribution).
+/// attribution, and for the closed loop's completion log). It is the one
+/// list of outstanding misses: the closed-loop driver keeps no copy.
 ///
 /// Almost every fill has zero or one waiter, so the first two live inline
 /// and the steady-state miss path never heap-allocates; only pathological
@@ -168,10 +169,11 @@ pub struct MemorySystem {
     /// Demand latency accumulated per device (always integer-valued, so
     /// the per-device sums reproduce `latency_sum` exactly).
     device_lat: [f64; DeviceId::COUNT],
-    /// When `Some`, every retired DRAM read is logged as
-    /// `(block_number, finish)` for the closed-loop traffic model to
-    /// drain; `None` (the open-loop default) costs nothing.
-    completion_log: Option<Vec<(u64, Cycle)>>,
+    /// When `Some`, every demand waiter a DRAM fill retires is logged as
+    /// `(device index, finish)`, in completion order and then waiter
+    /// order, for the closed-loop traffic model to drain; `None` (the
+    /// open-loop default) costs nothing.
+    completion_log: Option<Vec<(usize, Cycle)>>,
     /// Governor state: (interval-start useful, interval-start fills,
     /// accesses into interval, currently gated).
     governor_state: GovernorState,
@@ -206,7 +208,7 @@ impl MemorySystem {
             dram: MemoryController::new(cfg.dram),
             prefetcher,
             queue: PrefetchQueue::new(cfg.prefetch_queue_cap),
-            inflight: map_with_capacity(256),
+            inflight: FastHashMap::default(),
             scratch: Vec::new(),
             completions: Vec::new(),
             tel: Telemetry::from_config(&cfg.telemetry),
@@ -268,9 +270,6 @@ impl MemorySystem {
         if c.is_write {
             return; // writeback retired; nothing waits on it
         }
-        if let Some(log) = &mut self.completion_log {
-            log.push((c.addr.block_number(), c.finish));
-        }
         let Some(entry) = self.inflight.remove(&c.addr.block_number()) else {
             return;
         };
@@ -280,6 +279,9 @@ impl MemorySystem {
             let lat = (self.cfg.sc_hit_latency + c.finish.since(w)) as f64;
             self.latency_sum += lat;
             self.device_lat[dev as usize] += lat;
+            if let Some(log) = &mut self.completion_log {
+                log.push((dev as usize, c.finish));
+            }
         }
         // A prefetch nobody consumed fills speculatively; anything a demand
         // waited on fills as a demand line.
@@ -323,16 +325,20 @@ impl MemorySystem {
         self.pump_dram(now);
     }
 
-    /// Starts recording `(block_number, finish)` for every retired DRAM
-    /// read (closed-loop mode only; the log is off by default).
+    /// Starts recording `(device index, finish)` for every demand waiter
+    /// a DRAM fill retires (closed-loop mode only; the log is off by
+    /// default).
     pub(crate) fn enable_completion_log(&mut self) {
         self.completion_log = Some(Vec::new());
     }
 
-    /// Moves all logged completions into `out`, leaving the log empty.
-    pub(crate) fn drain_completion_log(&mut self, out: &mut Vec<(u64, Cycle)>) {
+    /// Hands every logged retirement to `retire` in log order, leaving
+    /// the log empty.
+    pub(crate) fn drain_completion_log(&mut self, mut retire: impl FnMut(usize, Cycle)) {
         if let Some(log) = &mut self.completion_log {
-            out.append(log);
+            for (device, finish) in log.drain(..) {
+                retire(device, finish);
+            }
         }
     }
 
@@ -712,7 +718,9 @@ impl MemorySystem {
         // their arrivals were discarded with `demand_count`, so charging
         // the latency alone would inflate steady-state AMAT. The fills
         // themselves still land correctly: merged demand entries already
-        // carry `origin: None` and keep their `wrote` flag.
+        // carry `origin: None` and keep their `wrote` flag. The closed loop
+        // retires its misses from these waiters, so it must never warm up.
+        debug_assert!(self.completion_log.is_none(), "the closed loop has no warmup");
         #[allow(
             clippy::disallowed_methods,
             clippy::iter_over_hash_type,
@@ -749,14 +757,14 @@ impl MemorySystem {
         (result, dram, telemetry)
     }
 
-    /// [`MemorySystem::finish_parts`] plus the completions logged since the
-    /// last [`MemorySystem::drain_completion_log`] — including those
-    /// retired by the final drain, which the closed-loop traffic model
-    /// needs to settle its remaining outstanding requests.
+    /// [`MemorySystem::finish_parts`] plus the retirements logged since the
+    /// last [`MemorySystem::drain_completion_log`] — including those of
+    /// the final drain, which the closed-loop traffic model needs to
+    /// settle its remaining outstanding requests.
     pub(crate) fn finish_parts_logged(
         mut self,
         workload: &str,
-    ) -> (SimResult, planaria_dram::DramStats, TelemetryReport, Vec<(u64, Cycle)>) {
+    ) -> (SimResult, planaria_dram::DramStats, TelemetryReport, Vec<(usize, Cycle)>) {
         // Issue whatever prefetches still fit, then let DRAM finish.
         while let Some(req) = self.next_issuable() {
             self.dram
@@ -874,7 +882,9 @@ impl MemorySystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::PrefetcherKind;
     use planaria_core::NullPrefetcher;
+    use planaria_trace::apps::{profile, AppId};
     use planaria_trace::Trace;
 
     fn read(addr: u64, cycle: u64) -> MemAccess {
@@ -1093,6 +1103,19 @@ mod tests {
     fn warmup_rejects_out_of_range() {
         let sys = MemorySystem::new(SystemConfig::default(), Box::new(NullPrefetcher::new()));
         let _ = sys.run_stream_telemetry(&mut Trace::empty("e").stream(), 1.5);
+    }
+
+    #[test]
+    fn unbounded_queues_grow_on_demand() {
+        // `usize::MAX` spells "unbounded" for both queue bounds; neither
+        // may be allocated up front.
+        let mut cfg = SystemConfig { prefetch_queue_cap: usize::MAX, ..SystemConfig::default() };
+        cfg.dram.queue_depth = usize::MAX;
+        cfg.dram.validate().expect("an unbounded DRAM queue is a valid configuration");
+        let sys = MemorySystem::new(cfg, PrefetcherKind::Planaria.build());
+        let r = sys.run_stream(&mut profile(AppId::HoK).scaled(5_000).stream());
+        assert_eq!(r.accesses, 5_000);
+        assert!(r.traffic.prefetch_reads > 0, "prefetches flowed through the queue");
     }
 
     #[test]

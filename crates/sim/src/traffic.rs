@@ -57,7 +57,6 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
 use planaria_common::{Cycle, DeviceId, MemAccess};
-use planaria_hash::{map_with_capacity, FastHashMap};
 use planaria_telemetry::TelemetryReport;
 use planaria_trace::stream::AccessStream;
 
@@ -188,6 +187,12 @@ impl DevState {
             seen: 0,
         }
     }
+
+    /// Retires one outstanding request that completed at `finish`.
+    fn retire(&mut self, finish: Cycle) {
+        self.outstanding -= 1;
+        self.last_completion = self.last_completion.max(finish);
+    }
 }
 
 /// Why [`ClosedLoopDriver::pump`] returned control to the caller.
@@ -255,13 +260,10 @@ pub enum Pump {
 pub struct ClosedLoopDriver {
     cfg: TrafficConfig,
     devs: Vec<DevState>,
-    /// Demand misses waiting on a DRAM fill: block number -> the local
-    /// dev-slot of every waiting injection (one entry per merged miss).
-    waiting: FastHashMap<u64, Vec<usize>>,
-    /// SC hits complete after the fixed lookup latency.
+    /// SC hits complete after the fixed lookup latency. Misses need no
+    /// list here: the memory system's in-flight entry holds each miss as
+    /// a waiter and logs its device when the fill retires it.
     hit_heap: BinaryHeap<Reverse<(u64, usize)>>,
-    /// Scratch buffer for draining the completion log.
-    log: Vec<(u64, Cycle)>,
     clock: Cycle,
     /// Stream position of the next offered access (injection tiebreak).
     seq: u64,
@@ -287,9 +289,7 @@ impl ClosedLoopDriver {
         Self {
             cfg,
             devs: (0..DeviceId::COUNT).map(|_| DevState::new()).collect(),
-            waiting: map_with_capacity(256),
             hit_heap: BinaryHeap::new(),
-            log: Vec::new(),
             clock: Cycle::ZERO,
             seq: 0,
             last_cycle: Cycle::ZERO,
@@ -387,24 +387,13 @@ impl ClosedLoopDriver {
             // Retire everything the memory system completed up to `clock`.
             // Re-entering after a pause re-runs this as a no-op (no time
             // passed, nothing new completed).
-            sys.drain_completion_log(&mut self.log);
-            for (block, finish) in self.log.drain(..) {
-                if let Some(ws) = self.waiting.remove(&block) {
-                    for slot in ws {
-                        self.devs[slot].outstanding -= 1;
-                        self.devs[slot].last_completion =
-                            self.devs[slot].last_completion.max(finish);
-                    }
-                }
-            }
+            sys.drain_completion_log(|slot, finish| self.devs[slot].retire(finish));
             while let Some(&Reverse((finish, slot))) = self.hit_heap.peek() {
                 if finish > self.clock.as_u64() {
                     break;
                 }
                 self.hit_heap.pop();
-                self.devs[slot].outstanding -= 1;
-                self.devs[slot].last_completion =
-                    self.devs[slot].last_completion.max(Cycle::new(finish));
+                self.devs[slot].retire(Cycle::new(finish));
             }
 
             // The next injection: among devices with a buffered access and
@@ -495,8 +484,6 @@ impl ClosedLoopDriver {
             d.need_gap = true;
             if hit {
                 self.hit_heap.push(Reverse((self.clock.as_u64() + sc_hit_latency, slot)));
-            } else {
-                self.waiting.entry(access.addr.block_number()).or_default().push(slot);
             }
             self.injected += 1;
             budget -= 1;
@@ -523,18 +510,11 @@ impl ClosedLoopDriver {
         // Settle what is still in flight: hits complete unconditionally,
         // misses at whatever completion time the final DRAM drain reports.
         while let Some(Reverse((finish, slot))) = self.hit_heap.pop() {
-            self.devs[slot].outstanding -= 1;
-            self.devs[slot].last_completion =
-                self.devs[slot].last_completion.max(Cycle::new(finish));
+            self.devs[slot].retire(Cycle::new(finish));
         }
         let (result, _, telemetry, tail) = sys.finish_parts_logged(workload);
-        for (block, finish) in tail {
-            if let Some(ws) = self.waiting.remove(&block) {
-                for slot in ws {
-                    self.devs[slot].outstanding -= 1;
-                    self.devs[slot].last_completion = self.devs[slot].last_completion.max(finish);
-                }
-            }
+        for (slot, finish) in tail {
+            self.devs[slot].retire(finish);
         }
         debug_assert!(self.devs.iter().all(|d| d.outstanding == 0), "all requests must retire");
 
@@ -629,9 +609,21 @@ impl TrafficModel {
 mod tests {
     use super::*;
     use crate::system::SystemConfig;
+    use planaria_cache::{CacheConfig, ReplacementKind};
+    use planaria_common::{AccessKind, PhysAddr};
     use planaria_core::NullPrefetcher;
     use planaria_trace::apps::{profile, AppId};
     use planaria_trace::Trace;
+
+    /// A read of `block` by core `cpu` recorded at `cycle`.
+    fn read(cpu: u8, block: u64, cycle: u64) -> MemAccess {
+        MemAccess::new(
+            PhysAddr::new(block * 64),
+            AccessKind::Read,
+            DeviceId::Cpu(cpu),
+            Cycle::new(cycle),
+        )
+    }
 
     fn small_trace() -> Trace {
         profile(AppId::HoK).scaled(2_000).build()
@@ -666,6 +658,61 @@ mod tests {
             "window=1 must delay at least one device past its recorded schedule"
         );
         assert!(report.unfairness >= 1.0);
+    }
+
+    #[test]
+    fn a_miss_retires_at_its_own_fill_not_an_earlier_one() {
+        // A 2-set direct-mapped SC: blocks 0 and 2 share set 0. While cpu2's
+        // injection pumps DRAM up to cycle 10,000, block 0 fills and block
+        // 2's fill then evicts it, so cpu2 misses on block 0 again. It must
+        // complete at that second fill, not at the first one, which landed
+        // before cpu2 was even injected.
+        let cfg = SystemConfig {
+            cache: CacheConfig { size_bytes: 128, ways: 1, replacement: ReplacementKind::Lru },
+            ..SystemConfig::default()
+        };
+        let sys = MemorySystem::new(cfg, Box::new(NullPrefetcher::new()));
+        let trace = Trace::new("refetch", vec![read(0, 0, 0), read(1, 2, 1), read(2, 0, 10_000)]);
+        let (r, report, _) =
+            TrafficModel::new(TrafficConfig::new(8)).run_stream_telemetry(sys, &mut trace.stream());
+        assert_eq!(r.traffic.demand_reads, 3, "block 0 is fetched twice");
+        // No device stalls at window 8, so each injects at its recorded
+        // arrival (`open_loop_finish`) and must complete after it.
+        for d in &report.devices {
+            assert!(d.derived_finish >= d.open_loop_finish, "{} finished early: {d:?}", d.device);
+        }
+        let cpu2 = report.devices.iter().find(|d| d.device == "cpu2").expect("cpu2 ran");
+        assert!(cpu2.slowdown >= 1.0, "cpu2 retired at the earlier fill: {cpu2:?}");
+    }
+
+    #[test]
+    fn merge_storm_retires_every_waiter_at_the_fill() {
+        // Four requestors miss on one block within its fill latency: two
+        // waiters sit inline in the in-flight entry and two spill, and all
+        // four must be logged and retired at that one fill.
+        let misses: Vec<MemAccess> = (0..4).map(|cpu| read(cpu, 0, u64::from(cpu))).collect();
+        let (r, report) =
+            closed_loop(usize::MAX, &mut Trace::new("storm", misses.clone()).stream());
+        assert_eq!(r.traffic.demand_reads, 1, "one fill, four waiters");
+        let fill = report.devices[0].derived_finish;
+        assert_eq!(report.devices.len(), 4);
+        assert!(report.devices.iter().all(|d| d.derived_finish == fill), "{:?}", report.devices);
+
+        // With window 1, each requestor's next access (a hit on the filled
+        // block) waits for its slot, so it injects only once the fill lands.
+        let mut accesses = misses;
+        accesses.extend((0..4).map(|cpu| read(cpu, 0, 4 + u64::from(cpu))));
+        let (r, report) = closed_loop(1, &mut Trace::new("storm", accesses).stream());
+        assert_eq!((r.accesses, r.hit_rate), (8, 0.5), "four merged misses, then four hits");
+        let hit_latency = SystemConfig::default().sc_hit_latency;
+        for d in &report.devices {
+            let injected = d.derived_finish - hit_latency;
+            assert!(
+                injected >= fill,
+                "{} injected at {injected}, before the fill at {fill}",
+                d.device
+            );
+        }
     }
 
     #[test]
