@@ -98,6 +98,22 @@ if [[ "${1:-}" != "fast" ]]; then
         exit 1
     fi
     echo "streamed replay: peak RSS $hwm kB"
+
+    step "paper figures (each results/NAME.txt must equal what 'figures NAME' prints)"
+    # The committed figures are the stdout of the figures binary at default
+    # options. A change that moves any number fails here until the file is
+    # regenerated with the same command (EXPERIMENTS.md, "Re-run everything").
+    mkdir -p target/results_ci
+    for file in results/*.txt; do
+        name=$(basename "$file" .txt)
+        cargo run --release -q -p planaria-bench --bin figures -- "$name" \
+            > "target/results_ci/$name.txt"
+        if ! diff -u "$file" "target/results_ci/$name.txt"; then
+            echo "results: $file differs from 'figures $name'"
+            exit 1
+        fi
+        echo "results: $file matches"
+    done
 fi
 
 step "clippy negative control (each retired lint rule's fixture must fail clippy)"

@@ -53,9 +53,7 @@ fn main() {
                 apps = v
                     .split(',')
                     .map(|abbr| {
-                        AppId::ALL
-                            .into_iter()
-                            .find(|a| a.abbr().eq_ignore_ascii_case(abbr.trim()))
+                        AppId::from_abbr(abbr)
                             .unwrap_or_else(|| fail(format!("unknown app abbreviation {abbr:?}")))
                     })
                     .collect();

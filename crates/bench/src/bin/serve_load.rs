@@ -40,22 +40,6 @@ fn fail(msg: String) -> ! {
 const DEFAULT_DEVICES: usize = 100_000;
 const DEFAULT_LEN: usize = 100;
 
-/// Labels accepted by `--kind`.
-const ALL_KINDS: [PrefetcherKind; 12] = [
-    PrefetcherKind::None,
-    PrefetcherKind::NextLine,
-    PrefetcherKind::Stride,
-    PrefetcherKind::Bop,
-    PrefetcherKind::Spp,
-    PrefetcherKind::SlpOnly,
-    PrefetcherKind::TlpOnly,
-    PrefetcherKind::Planaria,
-    PrefetcherKind::PlanariaSlpIssue,
-    PrefetcherKind::PlanariaTlpIssue,
-    PrefetcherKind::PlanariaParallel,
-    PrefetcherKind::PlanariaLean,
-];
-
 /// Wall-clock latency of serving decisions, folded into power-of-two
 /// buckets of nanoseconds-per-injected-access. Each pump turn with `n`
 /// injections contributes `n` samples to the bucket of its mean
@@ -176,9 +160,7 @@ fn main() {
             }
             "--kind" => {
                 let label = cli::value_of("--kind", args.next()).unwrap_or_else(|e| fail(e));
-                kind = ALL_KINDS
-                    .into_iter()
-                    .find(|k| k.label().eq_ignore_ascii_case(&label))
+                kind = PrefetcherKind::from_label(&label)
                     .unwrap_or_else(|| fail(format!("unknown prefetcher label {label:?}")));
             }
             "--out" => {

@@ -18,23 +18,19 @@
 
 #![allow(clippy::disallowed_methods)]
 
+use planaria_bench::cli;
 use planaria_sim::experiment::PrefetcherKind;
 use planaria_sim::{MemorySystem, SystemConfig, TelemetryConfig};
 use planaria_trace::apps::{self, AppId};
 
-const ALL_KINDS: [PrefetcherKind; 11] = [
-    PrefetcherKind::None,
-    PrefetcherKind::NextLine,
-    PrefetcherKind::Stride,
-    PrefetcherKind::Bop,
-    PrefetcherKind::Spp,
-    PrefetcherKind::SlpOnly,
-    PrefetcherKind::TlpOnly,
-    PrefetcherKind::Planaria,
-    PrefetcherKind::PlanariaSlpIssue,
-    PrefetcherKind::PlanariaTlpIssue,
-    PrefetcherKind::PlanariaParallel,
-];
+/// One-line usage summary (stderr on `--help` and on argument errors).
+const USAGE: &str = "usage: telemetry_export [--app ABBR] [--kind LABEL] [--len N] [--warmup F] \
+                     [--capacity N] [--csv]";
+
+/// Reports a usage error and exits 2 (never returns).
+fn fail(msg: String) -> ! {
+    cli::usage_error(USAGE, msg)
+}
 
 struct ExportArgs {
     app: AppId,
@@ -46,7 +42,7 @@ struct ExportArgs {
 }
 
 impl ExportArgs {
-    fn parse(args: impl IntoIterator<Item = String>) -> Self {
+    fn parse(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
         let mut out = Self {
             app: AppId::HoK,
             kind: PrefetcherKind::Planaria,
@@ -59,49 +55,39 @@ impl ExportArgs {
         while let Some(a) = it.next() {
             match a.as_str() {
                 "--app" => {
-                    let v = it.next().expect("--app needs an abbreviation");
-                    out.app = AppId::ALL
-                        .into_iter()
-                        .find(|a| a.abbr().eq_ignore_ascii_case(v.trim()))
-                        .unwrap_or_else(|| panic!("unknown app abbreviation {v:?}"));
+                    let v = cli::value_of("--app", it.next())?;
+                    out.app =
+                        AppId::from_abbr(&v).ok_or(format!("unknown app abbreviation {v:?}"))?;
                 }
                 "--kind" => {
-                    let v = it.next().expect("--kind needs a prefetcher label");
-                    out.kind = ALL_KINDS
-                        .into_iter()
-                        .find(|k| k.label().eq_ignore_ascii_case(v.trim()))
-                        .unwrap_or_else(|| panic!("unknown prefetcher kind {v:?}"));
+                    let v = cli::value_of("--kind", it.next())?;
+                    out.kind = PrefetcherKind::from_label(&v)
+                        .ok_or(format!("unknown prefetcher label {v:?}"))?;
                 }
-                "--len" => {
-                    let v = it.next().expect("--len needs a value");
-                    out.len = v.replace('_', "").parse().expect("--len must be an integer");
-                }
+                "--len" => out.len = cli::positive_count("--len", it.next())?,
                 "--warmup" => {
-                    let v = it.next().expect("--warmup needs a fraction");
-                    out.warmup = v.parse().expect("--warmup must be a float");
+                    let v = cli::value_of("--warmup", it.next())?;
+                    out.warmup = v
+                        .parse()
+                        .ok()
+                        .filter(|w| (0.0..1.0).contains(w))
+                        .ok_or(format!("--warmup must be a fraction in [0, 1) (got {v:?})"))?;
                 }
-                "--capacity" => {
-                    let v = it.next().expect("--capacity needs a value");
-                    out.capacity =
-                        v.replace('_', "").parse().expect("--capacity must be an integer");
-                }
+                "--capacity" => out.capacity = cli::positive_count("--capacity", it.next())?,
                 "--csv" => out.csv = true,
                 "--help" | "-h" => {
-                    eprintln!(
-                        "usage: [--app ABBR] [--kind LABEL] [--len N] [--warmup F] \
-                         [--capacity N] [--csv]"
-                    );
+                    eprintln!("{USAGE}");
                     std::process::exit(0);
                 }
-                other => panic!("unknown argument {other:?} (try --help)"),
+                other => return Err(format!("unknown argument {other:?}")),
             }
         }
-        out
+        Ok(out)
     }
 }
 
 fn main() {
-    let args = ExportArgs::parse(std::env::args().skip(1));
+    let args = ExportArgs::parse(std::env::args().skip(1)).unwrap_or_else(|e| fail(e));
     let mut stream = apps::profile(args.app).scaled(args.len).stream();
 
     let cfg = SystemConfig {

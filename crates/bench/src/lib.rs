@@ -1,13 +1,15 @@
-//! Shared helpers for the figure-harness binaries.
+//! Shared harness for the `planaria-bench` binaries.
 //!
-//! Every binary in `src/bin/` regenerates one table or figure of the paper.
-//! They share a tiny command-line convention:
+//! [`figures::FIGURES`] holds every table, figure and ablation of the
+//! paper's evaluation, one entry each, and the `figures` binary runs one by
+//! name. Every entry takes the same options ([`HarnessArgs`]):
 //!
 //! * `--len <N>` — accesses per application trace (default 1,000,000;
 //!   large enough for several training rounds of every app's working set);
 //! * `--full` — use the paper's full Table 2 lengths (~67–71 M accesses
 //!   per app; slow but exact);
-//! * `--apps CFM,HoK,...` — restrict to a subset of applications;
+//! * `--apps CFM,HoK,...` — the applications to run (default: all ten, or
+//!   the entry's own subset for the multi-variant ablations);
 //! * `--threads <N>` — worker threads for the experiment grid (default:
 //!   all available cores);
 //! * `--progress` — live per-cell progress lines (interim hit rate) on
@@ -22,8 +24,10 @@
 
 #![allow(clippy::disallowed_methods)]
 
+pub mod figures;
+
 use planaria_sim::experiment::PrefetcherKind;
-use planaria_sim::runner::{Job, RunReport, Runner};
+use planaria_sim::runner::{Job, Runner, TraceSource};
 use planaria_sim::SimResult;
 use planaria_trace::apps::AppId;
 
@@ -45,71 +49,50 @@ pub struct HarnessArgs {
     pub telemetry: bool,
 }
 
-impl Default for HarnessArgs {
-    fn default() -> Self {
-        Self {
+impl HarnessArgs {
+    /// The options [`HarnessArgs::parse`] takes.
+    pub(crate) const USAGE: &str =
+        "[--len N | --full] [--apps CFM,HoK,...] [--threads N] [--progress] [--telemetry]";
+
+    /// Parses `std::env::args()`-style arguments. `default_apps` are the
+    /// applications run when `--apps` is absent.
+    ///
+    /// # Errors
+    ///
+    /// An unknown flag, a missing or malformed value, an unknown app or a
+    /// zero count.
+    pub fn parse(
+        args: impl IntoIterator<Item = String>,
+        default_apps: &[AppId],
+    ) -> Result<Self, String> {
+        let mut out = Self {
             len: Some(DEFAULT_LEN),
-            apps: AppId::ALL.to_vec(),
+            apps: default_apps.to_vec(),
             threads: None,
             progress: false,
             telemetry: false,
-        }
-    }
-}
-
-impl HarnessArgs {
-    /// Parses `std::env::args()`-style arguments.
-    ///
-    /// # Panics
-    ///
-    /// Panics with a usage message on malformed arguments (these are
-    /// developer-facing harnesses, not a user CLI).
-    pub fn parse(args: impl IntoIterator<Item = String>) -> Self {
-        let mut out = Self::default();
+        };
         let mut it = args.into_iter();
         while let Some(a) = it.next() {
             match a.as_str() {
-                "--len" => {
-                    let v = it.next().expect("--len needs a value");
-                    out.len = Some(v.replace('_', "").parse().expect("--len must be an integer"));
-                }
+                "--len" => out.len = Some(cli::positive_count("--len", it.next())?),
                 "--full" => out.len = None,
                 "--apps" => {
-                    let v = it.next().expect("--apps needs a comma-separated list");
-                    out.apps = v
+                    out.apps = cli::value_of("--apps", it.next())?
                         .split(',')
                         .map(|abbr| {
-                            AppId::ALL
-                                .into_iter()
-                                .find(|a| a.abbr().eq_ignore_ascii_case(abbr.trim()))
-                                .unwrap_or_else(|| panic!("unknown app abbreviation {abbr:?}"))
+                            AppId::from_abbr(abbr)
+                                .ok_or(format!("unknown app abbreviation {abbr:?}"))
                         })
-                        .collect();
+                        .collect::<Result<_, _>>()?;
                 }
-                "--threads" => {
-                    let v = it.next().expect("--threads needs a value");
-                    let n: usize = v.parse().expect("--threads must be an integer");
-                    assert!(n > 0, "--threads must be positive");
-                    out.threads = Some(n);
-                }
+                "--threads" => out.threads = Some(cli::positive_count("--threads", it.next())?),
                 "--progress" => out.progress = true,
                 "--telemetry" => out.telemetry = true,
-                "--help" | "-h" => {
-                    eprintln!(
-                        "usage: [--len N | --full] [--apps CFM,HoK,...] [--threads N] \
-                         [--progress] [--telemetry]"
-                    );
-                    std::process::exit(0);
-                }
-                other => panic!("unknown argument {other:?} (try --help)"),
+                other => return Err(format!("unknown argument {other:?}")),
             }
         }
-        out
-    }
-
-    /// Parses the process arguments.
-    pub fn from_env() -> Self {
-        Self::parse(std::env::args().skip(1))
+        Ok(out)
     }
 
     /// The effective trace length for `app`.
@@ -139,55 +122,51 @@ impl HarnessArgs {
         }
     }
 
-    /// Runs every `kind` over each selected app on the parallel engine,
-    /// printing the batch summary on stderr. Rows are per app in `kinds`
-    /// order.
-    pub fn grid(&self, kinds: &[PrefetcherKind]) -> Vec<Vec<SimResult>> {
-        let jobs: Vec<Job> = self
+    /// Runs one cell per (selected app × variant) on the parallel engine,
+    /// built by `job(app, source, variant)` over the app's shared trace, and
+    /// prints the batch summary (and, with `--telemetry`, the merged
+    /// counters) on stderr. Returns one row per app, in `variants` order.
+    pub fn sweep<V: Copy>(
+        &self,
+        variants: &[V],
+        job: impl Fn(AppId, TraceSource, V) -> Job,
+    ) -> Vec<Vec<SimResult>> {
+        let job = &job;
+        let jobs = self
             .apps
             .iter()
-            .flat_map(|&app| kinds.iter().map(move |&k| Job::grid_cell(app, k, self.len_for(app))))
+            .flat_map(|&app| {
+                let source = TraceSource::App { app, length: self.len_for(app) };
+                variants.iter().map(move |&v| job(app, source.clone(), v))
+            })
             .collect();
         let report = self.runner().run(jobs);
         eprintln!("  {}", report.summary());
-        self.maybe_print_telemetry(&report);
-        report.into_rows(kinds.len())
-    }
-
-    /// Runs a caller-assembled job batch on this harness's runner and
-    /// prints the batch summary on stderr (the ablation harnesses' path).
-    pub fn run_jobs(&self, jobs: Vec<Job>) -> Vec<SimResult> {
-        let report = self.runner().run(jobs);
-        eprintln!("  {}", report.summary());
-        self.maybe_print_telemetry(&report);
-        report.into_results()
-    }
-
-    /// Prints the batch's merged telemetry counters on stderr when
-    /// `--telemetry` was given.
-    fn maybe_print_telemetry(&self, report: &RunReport) {
         if self.telemetry {
             eprintln!("  telemetry (merged over the batch):");
             for line in report.telemetry().summary_table().lines() {
                 eprintln!("    {line}");
             }
         }
+        report.into_rows(variants.len())
+    }
+
+    /// [`HarnessArgs::sweep`] over prefetcher kinds with Table 1 defaults.
+    pub fn grid(&self, kinds: &[PrefetcherKind]) -> Vec<Vec<SimResult>> {
+        self.sweep(kinds, |app, source, k| Job::new(format!("{}/{k}", app.abbr()), source, k))
     }
 }
 
-/// Graceful command-line error handling for the measurement binaries.
+/// Graceful command-line error handling for every bench binary.
 ///
-/// The figure harnesses go through [`HarnessArgs`] and may panic on bad
-/// input (developer-facing, documented). The *measurement* binaries
-/// (`replay`, `contention`) are run from CI and scripts, where a
-/// panic with a backtrace hint buries the actual mistake; they report
-/// `error: …` plus their usage line on stderr and exit with status 2
-/// (the conventional "usage error" code, distinct from a failed check's
-/// exit 1).
+/// A bad argument never panics: the binaries report `error: …` plus their
+/// usage on stderr and exit with status 2 (the conventional "usage error"
+/// code, distinct from a failed check's exit 1), so the mistake is not
+/// buried under a backtrace hint.
 pub mod cli {
     use std::fmt::Display;
 
-    /// Prints `error: {msg}`, the usage line, and exits with status 2.
+    /// Prints `error: {msg}`, the usage, and exits with status 2.
     pub fn usage_error(usage: &str, msg: impl Display) -> ! {
         eprintln!("error: {msg}");
         eprintln!("{usage}");
@@ -244,9 +223,13 @@ pub fn bar(frac: f64, width: usize) -> String {
 mod tests {
     use super::*;
 
+    fn parse(args: &[&str]) -> Result<HarnessArgs, String> {
+        HarnessArgs::parse(args.iter().map(|a| a.to_string()), &AppId::ALL)
+    }
+
     #[test]
     fn parse_defaults() {
-        let a = HarnessArgs::parse(Vec::<String>::new());
+        let a = parse(&[]).unwrap();
         assert_eq!(a.len, Some(DEFAULT_LEN));
         assert_eq!(a.apps.len(), 10);
         assert_eq!(a.threads, None);
@@ -255,14 +238,14 @@ mod tests {
 
     #[test]
     fn parse_len_and_apps() {
-        let a = HarnessArgs::parse(["--len", "50_000", "--apps", "CFM,fort"].map(String::from));
+        let a = parse(&["--len", "50_000", "--apps", "CFM,fort"]).unwrap();
         assert_eq!(a.len, Some(50_000));
         assert_eq!(a.apps, vec![AppId::Cfm, AppId::Fort]);
     }
 
     #[test]
     fn parse_threads_and_progress() {
-        let a = HarnessArgs::parse(["--threads", "4", "--progress"].map(String::from));
+        let a = parse(&["--threads", "4", "--progress"]).unwrap();
         assert_eq!(a.threads, Some(4));
         assert!(a.progress);
         assert_eq!(a.runner().threads(), 4);
@@ -270,27 +253,43 @@ mod tests {
 
     #[test]
     fn parse_telemetry_flag() {
-        assert!(!HarnessArgs::parse(Vec::<String>::new()).telemetry);
-        assert!(HarnessArgs::parse(["--telemetry"].map(String::from)).telemetry);
+        assert!(!parse(&[]).unwrap().telemetry);
+        assert!(parse(&["--telemetry"]).unwrap().telemetry);
     }
 
     #[test]
     fn parse_full_uses_paper_lengths() {
-        let a = HarnessArgs::parse(["--full"].map(String::from));
+        let a = parse(&["--full"]).unwrap();
         assert_eq!(a.len, None);
         assert_eq!(a.len_for(AppId::Cfm), 67_480_000);
     }
 
     #[test]
-    #[should_panic(expected = "unknown app")]
     fn parse_rejects_unknown_app() {
-        let _ = HarnessArgs::parse(["--apps", "WAT"].map(String::from));
+        assert_eq!(parse(&["--apps", "HoK,WAT"]).unwrap_err(), r#"unknown app abbreviation "WAT""#);
     }
 
     #[test]
-    #[should_panic(expected = "--threads must be positive")]
     fn parse_rejects_zero_threads() {
-        let _ = HarnessArgs::parse(["--threads", "0"].map(String::from));
+        assert!(
+            parse(&["--threads", "0"]).is_err_and(|e| e.contains("--threads must be at least 1"))
+        );
+    }
+
+    #[test]
+    fn parse_rejects_unknown_flags_and_missing_values() {
+        assert_eq!(parse(&["--fast"]).unwrap_err(), r#"unknown argument "--fast""#);
+        assert!(parse(&["--len"]).is_err_and(|e| e.contains("--len needs a value")));
+        assert!(parse(&["--len", "lots"]).is_err_and(|e| e.contains("integer")));
+    }
+
+    #[test]
+    fn default_apps_apply_only_without_the_apps_flag() {
+        let degree = figures::find("ablation_degree").expect("entry exists").apps;
+        assert_eq!(degree, [AppId::Cfm, AppId::HoK]);
+        let all = AppId::ALL.map(AppId::abbr).join(",");
+        assert_eq!(HarnessArgs::parse(["--apps".into(), all], degree).unwrap().apps, AppId::ALL);
+        assert_eq!(HarnessArgs::parse([], degree).unwrap().apps, degree);
     }
 
     #[test]

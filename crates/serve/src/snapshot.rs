@@ -26,24 +26,8 @@ use crate::device::{DevicePump, ServedDevice};
 /// The schema tag every snapshot document carries.
 pub const SNAPSHOT_SCHEMA: &str = "planaria-serve-snapshot-v1";
 
-/// All prefetcher kinds a snapshot can name, used to parse labels back.
-const KINDS: [PrefetcherKind; 12] = [
-    PrefetcherKind::None,
-    PrefetcherKind::NextLine,
-    PrefetcherKind::Stride,
-    PrefetcherKind::Bop,
-    PrefetcherKind::Spp,
-    PrefetcherKind::SlpOnly,
-    PrefetcherKind::TlpOnly,
-    PrefetcherKind::Planaria,
-    PrefetcherKind::PlanariaSlpIssue,
-    PrefetcherKind::PlanariaTlpIssue,
-    PrefetcherKind::PlanariaParallel,
-    PrefetcherKind::PlanariaLean,
-];
-
 fn kind_from_label(label: &str) -> Result<PrefetcherKind, String> {
-    KINDS
+    PrefetcherKind::ALL
         .into_iter()
         .find(|k| k.label() == label)
         .ok_or_else(|| format!("unknown prefetcher label {label:?}"))
@@ -262,7 +246,7 @@ mod tests {
 
     #[test]
     fn labels_round_trip_through_kind_from_label() {
-        for kind in KINDS {
+        for kind in PrefetcherKind::ALL {
             assert_eq!(kind_from_label(kind.label()).unwrap(), kind);
         }
         assert!(kind_from_label("nope").is_err());

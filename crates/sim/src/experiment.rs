@@ -48,6 +48,22 @@ pub enum PrefetcherKind {
 }
 
 impl PrefetcherKind {
+    /// Every configuration, in declaration order.
+    pub const ALL: [PrefetcherKind; 12] = [
+        PrefetcherKind::None,
+        PrefetcherKind::NextLine,
+        PrefetcherKind::Stride,
+        PrefetcherKind::Bop,
+        PrefetcherKind::Spp,
+        PrefetcherKind::SlpOnly,
+        PrefetcherKind::TlpOnly,
+        PrefetcherKind::Planaria,
+        PrefetcherKind::PlanariaSlpIssue,
+        PrefetcherKind::PlanariaTlpIssue,
+        PrefetcherKind::PlanariaParallel,
+        PrefetcherKind::PlanariaLean,
+    ];
+
     /// The four configurations of Figures 7, 8 and 10.
     pub const FIGURE_SET: [PrefetcherKind; 4] =
         [PrefetcherKind::None, PrefetcherKind::Bop, PrefetcherKind::Spp, PrefetcherKind::Planaria];
@@ -99,6 +115,12 @@ impl PrefetcherKind {
             PrefetcherKind::PlanariaParallel => "Planaria(parallel)",
             PrefetcherKind::PlanariaLean => "Planaria(lean)",
         }
+    }
+
+    /// The kind whose [`label`](Self::label) matches `label`, ignoring
+    /// ASCII case and surrounding whitespace.
+    pub fn from_label(label: &str) -> Option<Self> {
+        Self::ALL.into_iter().find(|k| k.label().eq_ignore_ascii_case(label.trim()))
     }
 }
 
@@ -167,20 +189,14 @@ mod tests {
 
     #[test]
     fn kinds_build_with_matching_labels() {
-        for kind in [
-            PrefetcherKind::None,
-            PrefetcherKind::NextLine,
-            PrefetcherKind::Stride,
-            PrefetcherKind::Bop,
-            PrefetcherKind::Spp,
-            PrefetcherKind::SlpOnly,
-            PrefetcherKind::TlpOnly,
-            PrefetcherKind::Planaria,
-        ] {
+        let mut labels = std::collections::BTreeSet::new();
+        for kind in PrefetcherKind::ALL {
             let pf = kind.build();
             assert!(!pf.name().is_empty());
-            assert!(!kind.label().is_empty());
+            assert!(labels.insert(kind.label()), "{kind} is labelled twice");
+            assert_eq!(PrefetcherKind::from_label(&kind.label().to_uppercase()), Some(kind));
         }
+        assert_eq!(PrefetcherKind::from_label("WAT"), None);
         assert_eq!(PrefetcherKind::Planaria.build().name(), "Planaria");
         assert_eq!(PrefetcherKind::PlanariaSlpIssue.build().name(), "Planaria(SLP-only)");
     }

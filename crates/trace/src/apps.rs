@@ -78,6 +78,13 @@ impl AppId {
         }
     }
 
+    /// The app whose [`abbr`](Self::abbr) matches `abbr`, ignoring ASCII
+    /// case and surrounding whitespace (`"hok"` and `" HoK"` both name
+    /// [`AppId::HoK`]).
+    pub fn from_abbr(abbr: &str) -> Option<AppId> {
+        AppId::ALL.into_iter().find(|a| a.abbr().eq_ignore_ascii_case(abbr.trim()))
+    }
+
     /// The full application name.
     pub const fn name(self) -> &'static str {
         match self {
@@ -426,6 +433,16 @@ mod tests {
             let mi = app.mem_intensity();
             assert!(mi > 0.0 && mi < 1.0);
         }
+    }
+
+    #[test]
+    fn from_abbr_ignores_case_and_padding() {
+        for app in AppId::ALL {
+            assert_eq!(AppId::from_abbr(app.abbr()), Some(app));
+            assert_eq!(AppId::from_abbr(&format!(" {} ", app.abbr().to_lowercase())), Some(app));
+        }
+        assert_eq!(AppId::from_abbr("WAT"), None);
+        assert_eq!(AppId::from_abbr(""), None);
     }
 
     #[test]

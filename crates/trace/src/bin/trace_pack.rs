@@ -101,12 +101,7 @@ fn cmd_record(args: &[String]) -> Result<(), String> {
         match a.as_str() {
             "--app" => {
                 let v = it.next().ok_or("--app needs a value")?;
-                app = Some(
-                    AppId::ALL
-                        .into_iter()
-                        .find(|x| x.abbr().eq_ignore_ascii_case(v))
-                        .ok_or_else(|| format!("unknown app {v:?}"))?,
-                );
+                app = Some(AppId::from_abbr(v).ok_or_else(|| format!("unknown app {v:?}"))?);
             }
             "--len" => {
                 let v = it.next().ok_or("--len needs a value")?;

@@ -19,7 +19,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-use super::{emit_one, rng_for, sample_gap, Envelope};
+use super::{emit_one, random_footprint, rng_for, sample_gap, swap_blocks, Envelope};
 
 /// Parameters of the footprint component.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -154,7 +154,8 @@ impl FootprintGen {
             self.next_pi += 1;
             // Occasional drift keeps the snapshot's overlap below 100%.
             if self.rng.gen_bool(self.spec.mutation_prob.clamp(0.0, 1.0)) {
-                mutate_footprint(&mut self.rng, &mut self.snapshots[pi], self.spec.mutation_bits);
+                self.snapshots[pi] =
+                    swap_blocks(&mut self.rng, self.snapshots[pi], self.spec.mutation_bits);
             }
             self.page = PageNum::new(self.region_base.as_u64() + pi as u64 * self.spec.page_spread);
             self.blocks.clear();
@@ -167,28 +168,6 @@ impl FootprintGen {
         self.block_pos += 1;
         let addr = PhysAddr::from_parts(self.page, BlockIndex::new(b));
         emit_one(&mut self.rng, &self.spec.envelope, addr, &mut self.clock, self.spec.intra_gap)
-    }
-}
-
-/// Draws `blocks` distinct block indices as a bitmap.
-fn random_footprint(rng: &mut rand::rngs::StdRng, blocks: usize) -> Bitmap64 {
-    let mut idx: Vec<usize> = (0..BLOCKS_PER_PAGE).collect();
-    idx.shuffle(rng);
-    idx.into_iter().take(blocks).collect()
-}
-
-/// Swaps up to `bits` set blocks for unset ones, preserving footprint size.
-fn mutate_footprint(rng: &mut rand::rngs::StdRng, fp: &mut Bitmap64, bits: usize) {
-    for _ in 0..bits {
-        let set: Vec<usize> = fp.iter_set().collect();
-        if set.is_empty() || set.len() == BLOCKS_PER_PAGE {
-            return;
-        }
-        let unset: Vec<usize> = (0..BLOCKS_PER_PAGE).filter(|&i| !fp.get(i)).collect();
-        let drop = set[rng.gen_range(0..set.len())];
-        let add = unset[rng.gen_range(0..unset.len())];
-        fp.clear(drop);
-        fp.set(add);
     }
 }
 
@@ -246,9 +225,8 @@ mod tests {
     #[test]
     fn mutation_changes_snapshot_but_keeps_size() {
         let mut rng = rng_for(1, 2);
-        let mut fp = random_footprint(&mut rng, 16);
-        let before = fp;
-        mutate_footprint(&mut rng, &mut fp, 2);
+        let before = random_footprint(&mut rng, 16);
+        let fp = swap_blocks(&mut rng, before, 2);
         assert_eq!(fp.count(), 16);
         assert!(before.hamming_distance(fp) > 0);
         assert!(before.hamming_distance(fp) <= 4); // 2 swaps => at most 4 bits

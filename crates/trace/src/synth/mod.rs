@@ -25,8 +25,9 @@ pub use footprint::FootprintSpec;
 pub use neighbor::NeighborSpec;
 pub use simple::{RandomSpec, StreamSpec, StrideSpec};
 
-use planaria_common::{AccessKind, Cycle, DeviceId, MemAccess, PageNum};
+use planaria_common::{AccessKind, Bitmap64, Cycle, DeviceId, MemAccess, PageNum, BLOCKS_PER_PAGE};
 use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 use crate::Trace;
@@ -284,6 +285,31 @@ pub(crate) fn rng_for(seed: u64, salt: u64) -> StdRng {
     StdRng::seed_from_u64(seed ^ salt.wrapping_mul(0xD6E8_FEB8_6659_FD93))
 }
 
+/// Draws `blocks` distinct block indices as a bitmap.
+pub(crate) fn random_footprint(rng: &mut StdRng, blocks: usize) -> Bitmap64 {
+    let mut idx: [usize; BLOCKS_PER_PAGE] = core::array::from_fn(|i| i);
+    idx.shuffle(rng);
+    idx.into_iter().take(blocks).collect()
+}
+
+/// Returns `fp` with up to `bits` set blocks swapped for unset ones, each
+/// pair drawn uniformly; the footprint size is kept. Stops early on an
+/// empty or full bitmap.
+pub(crate) fn swap_blocks(rng: &mut StdRng, mut fp: Bitmap64, bits: usize) -> Bitmap64 {
+    for _ in 0..bits {
+        let set = fp.count();
+        if set == 0 || set == BLOCKS_PER_PAGE {
+            break;
+        }
+        let drop = fp.iter_set().nth(rng.gen_range(0..set));
+        let add = Bitmap64::FULL.minus(fp).iter_set().nth(rng.gen_range(0..BLOCKS_PER_PAGE - set));
+        let (Some(drop), Some(add)) = (drop, add) else { unreachable!("ranks below the counts") };
+        fp.clear(drop);
+        fp.set(add);
+    }
+    fp
+}
+
 /// Builds one access at the current clock and advances the component clock.
 pub(crate) fn emit_one(
     rng: &mut StdRng,
@@ -357,6 +383,43 @@ mod tests {
     fn with_rejects_zero_weight() {
         let _ = WorkloadSpec::new("x", "x", 1, 10)
             .with(0.0, ComponentSpec::Random(RandomSpec::default()));
+    }
+
+    #[test]
+    fn footprint_helpers_draw_like_the_collecting_versions() {
+        // The helpers the footprint and neighbour components used to carry,
+        // which collected block lists into vectors on every call.
+        fn random_vec(rng: &mut StdRng, blocks: usize) -> Bitmap64 {
+            let mut idx: Vec<usize> = (0..BLOCKS_PER_PAGE).collect();
+            idx.shuffle(rng);
+            idx.into_iter().take(blocks).collect()
+        }
+        fn swap_vec(rng: &mut StdRng, mut fp: Bitmap64, bits: usize) -> Bitmap64 {
+            for _ in 0..bits {
+                let set: Vec<usize> = fp.iter_set().collect();
+                let unset: Vec<usize> = (0..BLOCKS_PER_PAGE).filter(|&i| !fp.get(i)).collect();
+                if set.is_empty() || unset.is_empty() {
+                    break;
+                }
+                let drop = set[rng.gen_range(0..set.len())];
+                let add = unset[rng.gen_range(0..unset.len())];
+                fp.clear(drop);
+                fp.set(add);
+            }
+            fp
+        }
+        for seed in 0..260 {
+            let (mut a, mut b) = (rng_for(seed, 1), rng_for(seed, 1));
+            let (blocks, bits) = ((seed % 65) as usize, (seed % 7) as usize);
+            let fp = random_footprint(&mut a, blocks);
+            assert_eq!(fp, random_vec(&mut b, blocks));
+            assert_eq!(fp.count(), blocks);
+            let swapped = swap_blocks(&mut a, fp, bits);
+            assert_eq!(swapped, swap_vec(&mut b, fp, bits));
+            assert_eq!(swapped.count(), blocks);
+            // Equal draw counts keep the two streams in step.
+            assert_eq!(a.gen_range(0..u64::MAX), b.gen_range(0..u64::MAX));
+        }
     }
 
     #[test]

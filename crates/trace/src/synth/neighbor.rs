@@ -14,7 +14,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-use super::{emit_one, rng_for, sample_gap, Envelope};
+use super::{emit_one, random_footprint, rng_for, sample_gap, swap_blocks, Envelope};
 
 /// Parameters of the neighbouring-cluster component.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -155,8 +155,9 @@ impl NeighborGen {
                     // Per-page bitmaps: base pattern, up to `noise_bits` swaps.
                     self.patterns.clear();
                     self.patterns.extend(
-                        (0..self.spec.cluster_span)
-                            .map(|_| noisy(&mut self.rng, base_pattern, self.spec.noise_bits)),
+                        (0..self.spec.cluster_span).map(|_| {
+                            swap_blocks(&mut self.rng, base_pattern, self.spec.noise_bits)
+                        }),
                     );
                     self.visit_order.clear();
                     self.visit_order.extend(0..self.spec.cluster_span);
@@ -186,29 +187,6 @@ impl NeighborGen {
         let addr = PhysAddr::from_parts(self.page, BlockIndex::new(b));
         emit_one(&mut self.rng, &self.spec.envelope, addr, &mut self.clock, self.spec.intra_gap)
     }
-}
-
-fn random_footprint(rng: &mut rand::rngs::StdRng, blocks: usize) -> Bitmap64 {
-    let mut idx: Vec<usize> = (0..BLOCKS_PER_PAGE).collect();
-    idx.shuffle(rng);
-    idx.into_iter().take(blocks).collect()
-}
-
-/// Returns `pattern` with up to `bits` blocks swapped for fresh ones.
-fn noisy(rng: &mut rand::rngs::StdRng, pattern: Bitmap64, bits: usize) -> Bitmap64 {
-    let mut fp = pattern;
-    for _ in 0..bits {
-        let set: Vec<usize> = fp.iter_set().collect();
-        let unset: Vec<usize> = (0..BLOCKS_PER_PAGE).filter(|&i| !fp.get(i)).collect();
-        if set.is_empty() || unset.is_empty() {
-            break;
-        }
-        let drop = set[rng.gen_range(0..set.len())];
-        let add = unset[rng.gen_range(0..unset.len())];
-        fp.clear(drop);
-        fp.set(add);
-    }
-    fp
 }
 
 #[cfg(test)]
@@ -289,7 +267,7 @@ mod tests {
     fn noisy_preserves_size() {
         let mut rng = rng_for(3, 4);
         let base = random_footprint(&mut rng, 16);
-        let n = noisy(&mut rng, base, 2);
+        let n = swap_blocks(&mut rng, base, 2);
         assert_eq!(n.count(), 16);
         assert!(base.hamming_distance(n) <= 4);
     }

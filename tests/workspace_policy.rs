@@ -12,9 +12,8 @@ use std::path::{Path, PathBuf};
 
 /// The files that may read the wall clock and argv: the bench harness,
 /// its timing bins, the trace CLI and the parallel runner.
-const METHOD_OPT_OUTS: [&str; 8] = [
+const METHOD_OPT_OUTS: [&str; 7] = [
     "crates/bench/src/bin/contention.rs",
-    "crates/bench/src/bin/export_csv.rs",
     "crates/bench/src/bin/replay.rs",
     "crates/bench/src/bin/serve_load.rs",
     "crates/bench/src/bin/telemetry_export.rs",
