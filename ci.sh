@@ -99,6 +99,20 @@ if [[ "${1:-}" != "fast" ]]; then
     fi
     echo "streamed replay: peak RSS $hwm kB"
 
+    step "figure grid memory (runner cells render their workloads in flat memory)"
+    # Every runner cell streams its own workload chunk-at-a-time, so a
+    # figure grid holds no trace: materializing these two 4M-access apps
+    # would take ~190 MB. Each grid's stderr summary ends with the
+    # process's peak RSS (VmHWM), which must stay under 64 MiB.
+    grid_log=$(cargo run --release -q -p planaria-bench --bin figures -- fig8_amat \
+        --len 4000000 --apps CFM,HoK --threads 2 2>&1 >/dev/null)
+    grid_hwm=$(grep -oE 'peak RSS [0-9]+ kB' <<< "$grid_log" | tail -n 1 | grep -oE '[0-9]+' || true)
+    if [[ -z "$grid_hwm" || "$grid_hwm" -ge 65536 ]]; then
+        echo "figure grid: peak RSS ${grid_hwm:-unknown} kB is not under 65536 kB"
+        exit 1
+    fi
+    echo "figure grid: peak RSS $grid_hwm kB"
+
     step "paper figures (each results/NAME.txt must equal what 'figures NAME' prints)"
     # The committed figures are the stdout of the figures binary at default
     # options. A change that moves any number fails here until the file is

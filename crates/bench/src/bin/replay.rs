@@ -21,7 +21,7 @@ use std::fs::File;
 use std::io::BufReader;
 use std::time::Instant;
 
-use planaria_bench::cli;
+use planaria_bench::{cli, proc_status_kb};
 use planaria_common::json::{self, Value};
 use planaria_sim::experiment::PrefetcherKind;
 use planaria_sim::{MemorySystem, SimResult, SystemConfig};
@@ -91,14 +91,6 @@ struct StreamRow {
     fingerprint: u64,
     /// Resident set size (kB) sampled right after the run.
     rss_kb: Option<u64>,
-}
-
-/// Reads a field like `VmRSS` or `VmHWM` from `/proc/self/status`, in kB
-/// (`None` off Linux).
-fn proc_status_kb(field: &str) -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with(field))?;
-    line.split_whitespace().nth(1)?.parse().ok()
 }
 
 /// Opens the packed `--trace` file.

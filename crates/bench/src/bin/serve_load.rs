@@ -19,7 +19,7 @@
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use planaria_bench::cli;
+use planaria_bench::{cli, proc_status_kb};
 use planaria_cache::CacheConfig;
 use planaria_common::json;
 use planaria_serve::{DeviceSpec, ServeConfig, ServedDevice, Service, ShardObserver};
@@ -121,12 +121,6 @@ fn lean_system() -> SystemConfig {
     let mut sys = SystemConfig::default();
     sys.cache = CacheConfig { size_bytes: 64 * 1024, ..sys.cache };
     sys
-}
-
-fn proc_status_kb(field: &str) -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with(field))?;
-    line.split_whitespace().nth(1)?.parse().ok()
 }
 
 fn main() {

@@ -20,16 +20,18 @@
 //! Output is an aligned text table (one row per app plus an average row) —
 //! the faithful terminal rendering of the paper's bar charts. Grids run on
 //! `planaria-sim`'s parallel [`Runner`]; a wall-clock summary (slowest
-//! cell, simulated-cycle throughput) lands on stderr after each grid.
+//! cell, simulated-cycle throughput, peak resident set) lands on stderr
+//! after each grid.
 
 #![allow(clippy::disallowed_methods)]
 
 pub mod figures;
 
 use planaria_sim::experiment::PrefetcherKind;
-use planaria_sim::runner::{Job, Runner, TraceSource};
+use planaria_sim::runner::{Job, Runner};
 use planaria_sim::SimResult;
-use planaria_trace::apps::AppId;
+use planaria_trace::apps::{profile, AppId};
+use planaria_trace::WorkloadSpec;
 
 /// Default per-app trace length for figure regeneration.
 pub const DEFAULT_LEN: usize = 1_000_000;
@@ -122,26 +124,30 @@ impl HarnessArgs {
         }
     }
 
+    /// `app`'s workload at the harness length.
+    pub fn workload(&self, app: AppId) -> WorkloadSpec {
+        profile(app).scaled(self.len_for(app))
+    }
+
     /// Runs one cell per (selected app × variant) on the parallel engine,
-    /// built by `job(app, source, variant)` over the app's shared trace, and
-    /// prints the batch summary (and, with `--telemetry`, the merged
-    /// counters) on stderr. Returns one row per app, in `variants` order.
+    /// built by `job(app, workload, variant)` over the app's workload, and
+    /// prints the batch summary with the process's peak resident set (and,
+    /// with `--telemetry`, the merged counters) on stderr. Returns one row
+    /// per app, in `variants` order.
     pub fn sweep<V: Copy>(
         &self,
         variants: &[V],
-        job: impl Fn(AppId, TraceSource, V) -> Job,
+        job: impl Fn(AppId, WorkloadSpec, V) -> Job,
     ) -> Vec<Vec<SimResult>> {
-        let job = &job;
         let jobs = self
             .apps
             .iter()
-            .flat_map(|&app| {
-                let source = TraceSource::App { app, length: self.len_for(app) };
-                variants.iter().map(move |&v| job(app, source.clone(), v))
-            })
+            .flat_map(|&app| variants.iter().map(move |&v| (app, v)))
+            .map(|(app, v)| job(app, self.workload(app), v))
             .collect();
         let report = self.runner().run(jobs);
-        eprintln!("  {}", report.summary());
+        let peak = proc_status_kb("VmHWM").map_or("unknown".into(), |kb| format!("{kb} kB"));
+        eprintln!("  {}; peak RSS {peak}", report.summary());
         if self.telemetry {
             eprintln!("  telemetry (merged over the batch):");
             for line in report.telemetry().summary_table().lines() {
@@ -153,8 +159,16 @@ impl HarnessArgs {
 
     /// [`HarnessArgs::sweep`] over prefetcher kinds with Table 1 defaults.
     pub fn grid(&self, kinds: &[PrefetcherKind]) -> Vec<Vec<SimResult>> {
-        self.sweep(kinds, |app, source, k| Job::new(format!("{}/{k}", app.abbr()), source, k))
+        self.sweep(kinds, |app, workload, k| Job::new(format!("{}/{k}", app.abbr()), workload, k))
     }
+}
+
+/// Reads a field like `VmRSS` or `VmHWM` from `/proc/self/status`, in kB
+/// (`None` off Linux).
+pub fn proc_status_kb(field: &str) -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with(field))?;
+    line.split_whitespace().nth(1)?.parse().ok()
 }
 
 /// Graceful command-line error handling for every bench binary.
@@ -306,6 +320,17 @@ mod tests {
         assert_eq!(rows[0].len(), 2);
         assert_eq!(rows[0][0].workload, "CFM");
         assert_eq!(rows[1][1].prefetcher, "NextLine");
+    }
+
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn proc_status_reads_resident_set_fields() {
+        // Read the current size first: the high-water mark read after it
+        // can only be at least as large.
+        let rss = proc_status_kb("VmRSS").expect("Linux reports VmRSS");
+        let hwm = proc_status_kb("VmHWM").expect("Linux reports VmHWM");
+        assert!(rss > 0 && hwm >= rss, "VmRSS {rss} kB, VmHWM {hwm} kB");
+        assert_eq!(proc_status_kb("VmNoSuchField"), None);
     }
 
     #[test]

@@ -167,13 +167,6 @@ impl BlockIndex {
         Self(idx as u8)
     }
 
-    /// Creates a block index without bounds checking overhead in const
-    /// contexts; still panics on out-of-range input.
-    pub const fn new_const(idx: u8) -> Self {
-        assert!((idx as usize) < BLOCKS_PER_PAGE);
-        Self(idx)
-    }
-
     /// Returns the index as `usize`.
     pub const fn as_usize(self) -> usize {
         self.0 as usize
@@ -214,11 +207,6 @@ impl SegmentIndex {
     /// Returns the index as `usize`.
     pub const fn as_usize(self) -> usize {
         self.0 as usize
-    }
-
-    /// Returns the first block index of this segment.
-    pub const fn first_block(self) -> BlockIndex {
-        BlockIndex(self.0 * BLOCKS_PER_SEGMENT as u8)
     }
 
     /// Builds the page-level block index from this segment and a within-

@@ -158,11 +158,6 @@ impl MemoryController {
         }
     }
 
-    /// Per-channel command counters.
-    pub fn channel_stats(&self, channel: usize) -> &DramStats {
-        &self.channels[channel].stats
-    }
-
     /// The recorded command log of `channel` (empty unless
     /// [`DramConfig::record_log`] is set).
     pub fn command_log(&self, channel: usize) -> &[Command] {

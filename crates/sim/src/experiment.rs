@@ -135,37 +135,20 @@ pub fn run_trace(trace: &Trace, kind: PrefetcherKind) -> SimResult {
     MemorySystem::new(SystemConfig::default(), kind.build()).run_stream(&mut trace.stream())
 }
 
-/// Builds the `app` trace at `length` accesses and runs `kind` over it.
+/// Runs `kind` over the `app` workload at `length` accesses, rendered
+/// chunk-at-a-time.
 pub fn run_app(app: AppId, kind: PrefetcherKind, length: usize) -> SimResult {
-    let trace = apps::profile(app).scaled(length).build();
-    run_trace(&trace, kind)
+    MemorySystem::new(SystemConfig::default(), kind.build())
+        .run_stream(&mut apps::profile(app).scaled(length).stream())
 }
 
-/// Runs a set of prefetchers over one app's trace (trace built once).
+/// Runs a set of prefetchers over one app's workload, one cell each.
 ///
 /// Thin single-threaded wrapper over [`crate::runner::Runner`]; use the
 /// runner directly for multi-threaded batches.
 pub fn run_app_suite(app: AppId, kinds: &[PrefetcherKind], length: usize) -> Vec<SimResult> {
     let jobs = kinds.iter().map(|&k| crate::runner::Job::grid_cell(app, k, length)).collect();
     crate::runner::Runner::serial().run(jobs).into_results()
-}
-
-/// Geometric-mean helper for "average over apps" rows (ratios average
-/// multiplicatively).
-pub fn geomean(values: impl IntoIterator<Item = f64>) -> f64 {
-    let mut log_sum = 0.0;
-    let mut n = 0usize;
-    for v in values {
-        if v > 0.0 {
-            log_sum += v.ln();
-            n += 1;
-        }
-    }
-    if n == 0 {
-        0.0
-    } else {
-        (log_sum / n as f64).exp()
-    }
 }
 
 /// Arithmetic mean helper for additive quantities (hit rates, deltas).
@@ -216,13 +199,12 @@ mod tests {
             run_app_suite(AppId::Hi3, &[PrefetcherKind::None, PrefetcherKind::Planaria], 5_000);
         assert_eq!(rs.len(), 2);
         assert_eq!(rs[0].accesses, rs[1].accesses);
+        assert_eq!(rs[1], run_app(AppId::Hi3, PrefetcherKind::Planaria, 5_000));
     }
 
     #[test]
     fn means() {
-        assert!((geomean([1.0, 4.0]) - 2.0).abs() < 1e-12);
         assert!((mean([1.0, 3.0]) - 2.0).abs() < 1e-12);
-        assert_eq!(geomean(std::iter::empty()), 0.0);
         assert_eq!(mean(std::iter::empty()), 0.0);
     }
 }

@@ -60,7 +60,7 @@ mod traffic;
 
 pub use experiment::PrefetcherKind;
 pub use metrics::{DeviceStat, SimResult, TrafficBreakdown};
-pub use runner::{Cell, Job, ProgressEvent, RunReport, Runner, StreamFactory, TraceSource};
+pub use runner::{Cell, Job, ProgressEvent, RunReport, Runner};
 pub use system::{GovernorConfig, MemorySystem, SystemConfig, STREAM_CHUNK};
 pub use traffic::{
     ClosedLoopDriver, ClosedLoopReport, DeviceOutcome, Pump, TrafficConfig, TrafficModel,

@@ -5,62 +5,35 @@
 //! function of its inputs — so the grid fans out across OS threads with
 //! no change in results. This module provides:
 //!
-//! * [`Job`] — one simulation cell: a trace source, a prefetcher factory
-//!   and a [`SystemConfig`], run open or closed loop.
+//! * [`Job`] — one simulation cell: a [`WorkloadSpec`], a prefetcher
+//!   factory and a [`SystemConfig`], run open or closed loop.
 //! * [`Runner`] — executes a batch of jobs on `std::thread::scope`
-//!   workers (no external thread-pool dependency), building each distinct
-//!   `(app, length)` trace exactly once and sharing it via `Arc<Trace>`.
+//!   workers (no external thread-pool dependency). Each cell renders its
+//!   own workload chunk-at-a-time ([`WorkloadSpec::stream`]), so a batch
+//!   holds no trace in memory.
 //! * [`RunReport`] — per-cell wall-clock timings plus batch-level
 //!   observability: slowest cell, total simulated cycles, simulation
 //!   throughput.
 //!
 //! Determinism: workers claim jobs from an atomic counter, so the
 //! *schedule* varies run to run, but each cell simulates in isolation on
-//! an identical trace and results land in a slot indexed by job order —
-//! the output is bit-identical to a serial run regardless of thread
-//! count (`tests/parallel_engine.rs` asserts this).
+//! an identical rendering of its workload and the finished cells are put
+//! back in job order — the output is bit-identical to a serial run
+//! regardless of thread count (`tests/parallel_engine.rs` asserts this).
 
 #![allow(clippy::disallowed_methods)]
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-use planaria_hash::FastHashMap;
 
 use planaria_core::Prefetcher;
 use planaria_telemetry::TelemetryReport;
 use planaria_trace::apps::{self, AppId};
-use planaria_trace::stream::AccessStream;
-use planaria_trace::{Trace, WorkloadSpec};
+use planaria_trace::WorkloadSpec;
 
 use crate::traffic::{ClosedLoopReport, TrafficConfig, TrafficModel};
 use crate::{MemorySystem, PrefetcherKind, SimResult, SystemConfig};
-
-/// Builds a fresh, single-use [`AccessStream`] for one cell. Streams are
-/// consumed by the run, so every cell gets its own instance from the
-/// factory (e.g. one `ChunkedTraceReader` per cell over the same packed
-/// file).
-pub type StreamFactory = Arc<dyn Fn() -> Box<dyn AccessStream + Send> + Send + Sync>;
-
-/// Where a job's input trace comes from.
-#[derive(Clone)]
-pub enum TraceSource {
-    /// Synthesise the Table 2 app at `length` accesses. Traces are cached
-    /// per `(app, length)` across the batch and built exactly once —
-    /// unless the job is [`Job::streamed`], in which case the workload
-    /// renders chunk-at-a-time and nothing is materialized.
-    App {
-        /// The application to synthesise.
-        app: AppId,
-        /// Trace length in accesses.
-        length: usize,
-    },
-    /// A caller-prepared trace, shared by reference.
-    Shared(Arc<Trace>),
-    /// A factory of access streams; the cell runs in flat memory.
-    Stream(StreamFactory),
-}
 
 /// Builds a fresh prefetcher instance inside a worker thread.
 pub type PrefetcherFactory = Box<dyn Fn() -> Box<dyn Prefetcher> + Send + Sync>;
@@ -69,57 +42,42 @@ pub type PrefetcherFactory = Box<dyn Fn() -> Box<dyn Prefetcher> + Send + Sync>;
 pub struct Job {
     /// Display label (progress lines, [`Cell::label`], slowest-cell report).
     pub label: String,
-    /// The input trace.
-    pub source: TraceSource,
+    /// The workload the cell renders and runs.
+    pub workload: WorkloadSpec,
     /// Full-system configuration.
     pub config: SystemConfig,
     /// `Some` switches the cell to closed-loop injection via
     /// [`TrafficModel`]; `None` (the default) replays open-loop.
     pub traffic: Option<TrafficConfig>,
-    /// Render an app workload without materializing it ([`Job::streamed`]).
-    pub stream: bool,
     factory: PrefetcherFactory,
 }
 
 impl Job {
-    /// A job running `kind` over `app`'s trace with Table 1 defaults.
+    /// A job running `kind` over `app`'s workload with Table 1 defaults.
     pub fn grid_cell(app: AppId, kind: PrefetcherKind, length: usize) -> Self {
-        Self::new(
-            format!("{}/{}", apps::profile(app).abbr, kind.label()),
-            TraceSource::App { app, length },
-            kind,
-        )
+        let workload = apps::profile(app).scaled(length);
+        Self::new(format!("{}/{}", workload.abbr, kind.label()), workload, kind)
     }
 
-    /// A job with an explicit label and trace source.
-    pub fn new(label: impl Into<String>, source: TraceSource, kind: PrefetcherKind) -> Self {
-        Self::with_factory(label, source, Box::new(move || kind.build()))
+    /// A job with an explicit label and workload.
+    pub fn new(label: impl Into<String>, workload: WorkloadSpec, kind: PrefetcherKind) -> Self {
+        Self::with_factory(label, workload, Box::new(move || kind.build()))
     }
 
     /// A job with a custom prefetcher factory (ablations with non-default
     /// prefetcher configurations).
     pub fn with_factory(
         label: impl Into<String>,
-        source: TraceSource,
+        workload: WorkloadSpec,
         factory: PrefetcherFactory,
     ) -> Self {
         Self {
             label: label.into(),
-            source,
+            workload,
             config: SystemConfig::default(),
             traffic: None,
-            stream: false,
             factory,
         }
-    }
-
-    /// Renders a [`TraceSource::App`] workload chunk-at-a-time instead of
-    /// materializing its trace (other sources are unaffected). Results
-    /// are bit-identical to the materialized path (`tests/streaming.rs`
-    /// pins this); only the memory profile changes.
-    pub fn streamed(mut self) -> Self {
-        self.stream = true;
-        self
     }
 
     /// Replaces the system configuration.
@@ -146,8 +104,7 @@ pub struct ProgressEvent<'a> {
     pub label: &'a str,
     /// Accesses simulated so far in this cell.
     pub done: usize,
-    /// Total accesses in this cell's trace (`usize::MAX` when a streamed
-    /// source does not know its length up front).
+    /// Total accesses in this cell's workload ([`WorkloadSpec::length`]).
     pub trace_len: usize,
     /// Cumulative SC demand hit rate so far
     /// ([`MemorySystem::interim_hit_rate`]).
@@ -156,72 +113,12 @@ pub struct ProgressEvent<'a> {
 
 type ProgressFn = Arc<dyn Fn(ProgressEvent<'_>) + Send + Sync>;
 
-/// Resolves each distinct `(app, length)` workload once for the batch.
-///
-/// Every entry holds the workload *spec* — the stream factory — plus a
-/// lazily-materialized shared trace. Streamed jobs only touch the spec,
-/// so an all-streamed batch never materializes anything; materialized
-/// jobs build the trace exactly once, under the entry's own `OnceLock`
-/// (the outer mutex only guards slot lookup, so two workers needing
-/// *different* traces build concurrently while two needing the *same*
-/// trace share one build).
-#[allow(clippy::disallowed_types, reason = "locked once per cell for a slot, never per access")]
-struct TraceCache {
-    slots: std::sync::Mutex<FastHashMap<(AppId, usize), Arc<CacheEntry>>>,
-    builds: AtomicUsize,
-}
-
-/// One cached workload: the deterministic spec plus its lazily-built
-/// materialization.
-struct CacheEntry {
-    spec: WorkloadSpec,
-    materialized: OnceLock<Arc<Trace>>,
-}
-
-impl TraceCache {
-    #[allow(clippy::disallowed_types, reason = "builds the reviewed per-batch lock")]
-    fn new() -> Self {
-        Self { slots: std::sync::Mutex::new(FastHashMap::default()), builds: AtomicUsize::new(0) }
-    }
-
-    fn entry(&self, app: AppId, length: usize) -> Arc<CacheEntry> {
-        self.slots
-            .lock()
-            .expect("trace-cache lock")
-            .entry((app, length))
-            .or_insert_with(|| {
-                Arc::new(CacheEntry {
-                    spec: apps::profile(app).scaled(length),
-                    materialized: OnceLock::new(),
-                })
-            })
-            .clone()
-    }
-
-    fn get(&self, app: AppId, length: usize) -> Arc<Trace> {
-        let entry = self.entry(app, length);
-        entry
-            .materialized
-            .get_or_init(|| {
-                self.builds.fetch_add(1, Ordering::Relaxed);
-                Arc::new(entry.spec.build())
-            })
-            .clone()
-    }
-
-    /// A fresh rendering stream for the workload; never materializes.
-    fn stream(&self, app: AppId, length: usize) -> impl AccessStream + Send + use<> {
-        self.entry(app, length).spec.stream()
-    }
-}
-
 /// One finished cell of a [`RunReport`].
 #[derive(Debug, Clone)]
 pub struct Cell {
     /// The job's label.
     pub label: String,
-    /// Wall-clock time this cell took (build-shared-trace time excluded
-    /// for cache hits, included for the one builder).
+    /// Wall-clock time this cell took, rendering its workload included.
     pub wall: Duration,
     /// The simulation result.
     pub result: SimResult,
@@ -243,8 +140,6 @@ pub struct RunReport {
     pub wall: Duration,
     /// Worker threads used.
     pub threads: usize,
-    /// Distinct `(app, length)` traces synthesised.
-    pub trace_builds: usize,
 }
 
 impl RunReport {
@@ -271,14 +166,12 @@ impl RunReport {
     /// A one-paragraph summary for harness stderr output.
     pub fn summary(&self) -> String {
         let mut s = format!(
-            "{} cells on {} thread{} in {:.2?} ({:.1}M sim-cycles/s, {} trace build{})",
+            "{} cells on {} thread{} in {:.2?} ({:.1}M sim-cycles/s)",
             self.cells.len(),
             self.threads,
             if self.threads == 1 { "" } else { "s" },
             self.wall,
             self.sim_cycles_per_sec() / 1e6,
-            self.trace_builds,
-            if self.trace_builds == 1 { "" } else { "s" },
         );
         if let Some(slow) = self.slowest() {
             s.push_str(&format!("; slowest cell {} at {:.2?}", slow.label, slow.wall));
@@ -393,98 +286,76 @@ impl Runner {
     pub fn run(&self, jobs: Vec<Job>) -> RunReport {
         let started = Instant::now();
         let total = jobs.len();
-        let cache = TraceCache::new();
         let next = AtomicUsize::new(0);
-        let slots: Vec<OnceLock<Cell>> = (0..total).map(|_| OnceLock::new()).collect();
         let workers = self.threads.min(total.max(1));
 
-        let work = |_worker: usize| loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= total {
-                break;
+        // Each worker claims the next unclaimed job until none is left and
+        // returns the cells it ran, tagged with their job index.
+        let work = || {
+            let mut done = Vec::new();
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(job) = jobs.get(i) else { return done };
+                done.push((i, self.run_cell(i, total, job)));
             }
-            let job = &jobs[i];
-            let t0 = Instant::now();
-            // Resolve the input to a stream: materialized traces replay
-            // through their borrowing adapter, so every cell runs the same
-            // streamed core and the split only affects the memory profile.
-            let held;
-            let mut stream: Box<dyn AccessStream + '_> = match &job.source {
-                TraceSource::App { app, length } if job.stream => {
-                    Box::new(cache.stream(*app, *length))
-                }
-                TraceSource::App { app, length } => {
-                    held = cache.get(*app, *length);
-                    Box::new(held.stream())
-                }
-                TraceSource::Shared(t) => Box::new(t.stream()),
-                TraceSource::Stream(f) => f(),
-            };
-            let sys = MemorySystem::new(job.config, (job.factory)());
-            let (result, telemetry, closed_loop) = match job.traffic {
-                // Closed-loop cells derive their own injection schedule;
-                // progress sampling does not apply.
-                Some(traffic) => {
-                    let (result, closed, telemetry) =
-                        TrafficModel::new(traffic).run_stream_telemetry(sys, stream.as_mut());
-                    (result, telemetry, Some(closed))
-                }
-                None => {
-                    let (result, _, telemetry) = match &self.progress {
-                        Some(cb) => {
-                            let trace_len =
-                                stream.total_len().map(|l| l as usize).unwrap_or(usize::MAX);
-                            sys.run_stream_core(
-                                stream.as_mut(),
-                                0.0,
-                                self.progress_every,
-                                Some(&mut |done, hit_rate| {
-                                    cb(ProgressEvent {
-                                        job: i,
-                                        total,
-                                        label: &job.label,
-                                        done,
-                                        trace_len,
-                                        hit_rate,
-                                    })
-                                }),
-                            )
-                        }
-                        None => sys.run_stream_core(stream.as_mut(), 0.0, usize::MAX, None),
-                    };
-                    (result, telemetry, None)
-                }
-            };
-            let cell = Cell {
-                label: job.label.clone(),
-                wall: t0.elapsed(),
-                result,
-                telemetry,
-                closed_loop,
-            };
-            slots[i].set(cell).expect("each job index claimed once");
         };
-
-        if workers <= 1 {
-            work(0);
+        let mut done: Vec<(usize, Cell)> = if workers <= 1 {
+            work()
         } else {
             std::thread::scope(|scope| {
-                let work = &work;
-                for w in 0..workers {
-                    scope.spawn(move || work(w));
-                }
-            });
-        }
+                let handles: Vec<_> = (0..workers).map(|_| scope.spawn(work)).collect();
+                handles
+                    .into_iter()
+                    .flat_map(|h| h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+                    .collect()
+            })
+        };
+        done.sort_unstable_by_key(|&(i, _)| i);
 
         RunReport {
-            cells: slots
-                .into_iter()
-                .map(|slot| slot.into_inner().expect("all jobs completed"))
-                .collect(),
+            cells: done.into_iter().map(|(_, cell)| cell).collect(),
             wall: started.elapsed(),
             threads: workers,
-            trace_builds: cache.builds.load(Ordering::Relaxed),
         }
+    }
+
+    /// Runs job `i` of a `total`-job batch over a fresh rendering of its
+    /// workload.
+    fn run_cell(&self, i: usize, total: usize, job: &Job) -> Cell {
+        let t0 = Instant::now();
+        let mut stream = job.workload.stream();
+        let sys = MemorySystem::new(job.config, (job.factory)());
+        let (result, telemetry, closed_loop) = match job.traffic {
+            // Closed-loop cells derive their own injection schedule;
+            // progress sampling does not apply.
+            Some(traffic) => {
+                let (result, closed, telemetry) =
+                    TrafficModel::new(traffic).run_stream_telemetry(sys, &mut stream);
+                (result, telemetry, Some(closed))
+            }
+            None => {
+                let (result, _, telemetry) = match &self.progress {
+                    Some(cb) => sys.run_stream_core(
+                        &mut stream,
+                        0.0,
+                        self.progress_every,
+                        Some(&mut |done, hit_rate| {
+                            cb(ProgressEvent {
+                                job: i,
+                                total,
+                                label: &job.label,
+                                done,
+                                trace_len: job.workload.length,
+                                hit_rate,
+                            })
+                        }),
+                    ),
+                    None => sys.run_stream_core(&mut stream, 0.0, usize::MAX, None),
+                };
+                (result, telemetry, None)
+            }
+        };
+        Cell { label: job.label.clone(), wall: t0.elapsed(), result, telemetry, closed_loop }
     }
 }
 
@@ -501,25 +372,13 @@ mod tests {
             Job::grid_cell(AppId::Cfm, kinds[1], 2_000),
         ]);
         assert_eq!(report.threads, 1);
-        assert_eq!(report.trace_builds, 1, "one app, one trace");
+        assert_eq!(report.cells[0].label, "CFM/None");
         assert!(report.slowest().is_some());
         assert!(report.total_sim_cycles() > 0);
         assert!(report.summary().contains("2 cells"));
         let rows = report.into_rows(2);
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0][0].prefetcher, "None");
-    }
-
-    #[test]
-    fn shared_source_skips_cache() {
-        let trace = Arc::new(apps::profile(AppId::Hi3).scaled(1_000).build());
-        let report = Runner::new(2).run(vec![
-            Job::new("a", TraceSource::Shared(Arc::clone(&trace)), PrefetcherKind::None),
-            Job::new("b", TraceSource::Shared(trace), PrefetcherKind::NextLine),
-        ]);
-        assert_eq!(report.trace_builds, 0);
-        assert_eq!(report.cells[0].label, "a");
-        assert_eq!(report.cells[1].label, "b");
     }
 
     #[test]
@@ -540,44 +399,9 @@ mod tests {
 
     #[test]
     fn observed_run_matches_unobserved() {
-        let trace = Arc::new(apps::profile(AppId::Fort).scaled(3_000).build());
-        let quiet = Runner::serial().run(vec![Job::new(
-            "q",
-            TraceSource::Shared(Arc::clone(&trace)),
-            PrefetcherKind::Planaria,
-        )]);
-        let observed = Runner::serial()
-            .progress_every(100)
-            .with_progress(|_| {})
-            .run(vec![Job::new("o", TraceSource::Shared(trace), PrefetcherKind::Planaria)]);
+        let job = || Job::grid_cell(AppId::Fort, PrefetcherKind::Planaria, 3_000);
+        let quiet = Runner::serial().run(vec![job()]);
+        let observed = Runner::serial().progress_every(100).with_progress(|_| {}).run(vec![job()]);
         assert_eq!(quiet.cells[0].result, observed.cells[0].result);
-    }
-
-    #[test]
-    fn streamed_app_jobs_match_materialized_and_skip_builds() {
-        let job = || Job::grid_cell(AppId::IdV, PrefetcherKind::Planaria, 2_000);
-        let mat = Runner::serial().run(vec![job()]);
-        let streamed = Runner::serial().run(vec![job().streamed()]);
-        assert_eq!(mat.cells[0].result, streamed.cells[0].result);
-        assert_eq!(mat.trace_builds, 1);
-        assert_eq!(streamed.trace_builds, 0, "streamed cells must not materialize");
-    }
-
-    #[test]
-    fn stream_factory_source_runs_each_cell_on_a_fresh_stream() {
-        let spec = apps::profile(AppId::Ko).scaled(1_500);
-        let factory: StreamFactory = {
-            let spec = spec.clone();
-            Arc::new(move || Box::new(spec.stream()))
-        };
-        let report = Runner::new(2).run(vec![
-            Job::new("a", TraceSource::Stream(Arc::clone(&factory)), PrefetcherKind::None),
-            Job::new("b", TraceSource::Stream(factory), PrefetcherKind::None),
-        ]);
-        assert_eq!(report.trace_builds, 0);
-        assert_eq!(
-            report.cells[0].result, report.cells[1].result,
-            "identical factories must give identical cells"
-        );
     }
 }

@@ -191,8 +191,6 @@ struct GovernorState {
     /// [`GOVERNOR_PROBE_PERIOD`] still goes out so accuracy keeps being
     /// sampled (otherwise a gated prefetcher could never redeem itself).
     probe: u64,
-    /// Prefetch requests suppressed by the governor (reported for tests).
-    suppressed: u64,
 }
 
 /// While gated, 1 in this many requests is let through as a probe.
@@ -227,20 +225,10 @@ impl MemorySystem {
         }
     }
 
-    /// The prefetcher's display name.
-    pub fn prefetcher_name(&self) -> &str {
-        self.prefetcher.name()
-    }
-
     /// The cumulative SC demand hit rate so far (for live progress views;
     /// the authoritative numbers come from [`MemorySystem::finish`]).
     pub fn interim_hit_rate(&self) -> f64 {
         self.sc.stats().hit_rate()
-    }
-
-    /// Prefetch requests suppressed by the governor so far.
-    pub fn governor_suppressed(&self) -> u64 {
-        self.governor_state.suppressed
     }
 
     /// Advances the governor's interval clock; returns whether prefetch
@@ -508,12 +496,7 @@ impl MemorySystem {
             let g = &mut self.governor_state;
             scratch.retain(|_| {
                 g.probe += 1;
-                if g.probe.is_multiple_of(GOVERNOR_PROBE_PERIOD) {
-                    true
-                } else {
-                    g.suppressed += 1;
-                    false
-                }
+                g.probe.is_multiple_of(GOVERNOR_PROBE_PERIOD)
             });
         }
         for req in scratch.drain(..) {

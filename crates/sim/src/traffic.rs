@@ -332,11 +332,6 @@ impl ClosedLoopDriver {
         self.closed = true;
     }
 
-    /// Whether [`close`](ClosedLoopDriver::close) has been called.
-    pub fn is_closed(&self) -> bool {
-        self.closed
-    }
-
     /// Offered-but-not-yet-injected accesses across all devices.
     pub fn buffered(&self) -> usize {
         self.buffered

@@ -27,9 +27,7 @@
 //! a handful of integer increments per decision, cheap enough to leave on
 //! unconditionally) and, only when [`TelemetryConfig::events`] is set,
 //! additionally materialises full [`Event`] records into a bounded
-//! [`RingBufferSink`]. Both sinks implement the [`TraceSink`] trait; custom
-//! sinks can be fed by draining a ring buffer through
-//! [`RingBufferSink::replay`].
+//! [`RingBufferSink`].
 //!
 //! At the end of a run the handle condenses into a [`TelemetryReport`] —
 //! counters plus any captured events — which merges deterministically
@@ -56,6 +54,4 @@ mod sink;
 
 pub use event::{ArbitrationWinner, Event, EventData, EventKind, TransferReject};
 pub use report::TelemetryReport;
-pub use sink::{
-    CountingSink, DeviceLifecycle, RingBufferSink, Telemetry, TelemetryConfig, TraceSink,
-};
+pub use sink::{CountingSink, DeviceLifecycle, RingBufferSink, Telemetry, TelemetryConfig};

@@ -104,11 +104,6 @@ impl TelemetryReport {
         self.counters.per_device.used[device.index()]
     }
 
-    /// Demand misses from `device` that merged into an in-flight prefetch.
-    pub fn late_by(&self, device: DeviceId) -> u64 {
-        self.counters.per_device.late[device.index()]
-    }
-
     /// Merges another report's counters into this one (events are left
     /// untouched — per-cell event streams stay per-cell).
     ///

@@ -78,20 +78,6 @@ impl Default for DeviceLifecycle {
     }
 }
 
-/// Consumer of telemetry, fed per decision point.
-///
-/// [`CountingSink`] implements only [`TraceSink::count`]; [`RingBufferSink`]
-/// implements only [`TraceSink::record`]. Custom sinks (e.g. a streaming
-/// JSONL writer) implement whichever side they need and can be fed from a
-/// captured buffer via [`RingBufferSink::replay`].
-pub trait TraceSink {
-    /// A decision point of `kind` fired (no payload materialised).
-    fn count(&mut self, _kind: EventKind) {}
-
-    /// A fully materialised event fired.
-    fn record(&mut self, _event: &Event) {}
-}
-
 /// Always-on aggregation sink: per-[`EventKind`] counters plus per-origin
 /// prefetch-lifecycle counters. Costs a few integer increments per decision.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -125,6 +111,12 @@ impl CountingSink {
             late: [0; ORIGINS],
             per_device: DeviceLifecycle::new(),
         }
+    }
+
+    /// Counts one firing of the decision point `kind`.
+    #[inline]
+    pub fn count(&mut self, kind: EventKind) {
+        self.kinds[kind.index()] += 1;
     }
 
     /// Fire count of `kind`.
@@ -174,19 +166,6 @@ impl Default for CountingSink {
     }
 }
 
-impl TraceSink for CountingSink {
-    fn count(&mut self, kind: EventKind) {
-        self.kinds[kind.index()] += 1;
-    }
-
-    fn record(&mut self, event: &Event) {
-        self.count(event.kind());
-        if let EventData::Lifecycle { kind, origin, .. } = event.data {
-            self.bump_lifecycle(kind, origin);
-        }
-    }
-}
-
 /// Bounded event buffer: keeps the most recent `capacity` events, counting
 /// (not silently losing) anything older it had to drop.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -218,27 +197,18 @@ impl RingBufferSink {
         self.buf.is_empty()
     }
 
-    /// Feeds every buffered event (oldest first) into another sink via
-    /// [`TraceSink::record`].
-    pub fn replay(&self, sink: &mut dyn TraceSink) {
-        for ev in &self.buf {
-            sink.record(ev);
-        }
-    }
-
-    /// Moves the buffered events out, oldest first.
-    pub fn drain(&mut self) -> Vec<Event> {
-        self.buf.drain(..).collect()
-    }
-}
-
-impl TraceSink for RingBufferSink {
-    fn record(&mut self, event: &Event) {
+    /// Appends `event`, dropping the oldest one when the buffer is full.
+    pub fn record(&mut self, event: &Event) {
         if self.buf.len() == self.capacity {
             self.buf.pop_front();
             self.dropped += 1;
         }
         self.buf.push_back(*event);
+    }
+
+    /// Moves the buffered events out, oldest first.
+    pub fn drain(&mut self) -> Vec<Event> {
+        self.buf.drain(..).collect()
     }
 }
 
@@ -481,19 +451,6 @@ mod tests {
         assert_eq!(report.issued(PrefetchOrigin::Tlp), 1);
         assert_eq!(report.used(PrefetchOrigin::Slp), 1);
         assert_eq!(report.used(PrefetchOrigin::Tlp), 0);
-    }
-
-    #[test]
-    fn replay_feeds_counts_and_records() {
-        let mut ring = RingBufferSink::new(8);
-        ring.record(&Event {
-            cycle: Cycle::new(1),
-            channel: 0,
-            data: EventData::SlpFtAllocate { page: 1 },
-        });
-        let mut counts = CountingSink::new();
-        ring.replay(&mut counts);
-        assert_eq!(counts.count_of(EventKind::SlpFtAllocate), 1);
     }
 
     #[test]

@@ -28,8 +28,6 @@
 //!   ([`WorkloadSpec::stream`], [`Trace::stream`]).
 //! * [`io`] — the text and chunked binary `planaria-trace-v1` encodings
 //!   of traces (see `TRACE_FORMAT.md`).
-//! * [`filter`] — per-device private-cache filtering for users bringing
-//!   raw core-side traces (the SC only sees what the upper levels miss).
 //!
 //! # Examples
 //!
@@ -45,7 +43,6 @@
 #![deny(clippy::disallowed_types)]
 
 pub mod apps;
-pub mod filter;
 pub mod io;
 pub mod stream;
 pub mod synth;
@@ -53,4 +50,4 @@ mod trace;
 
 pub use stream::{AccessStream, TraceStream, WorkloadStream};
 pub use synth::{ComponentSpec, WeightedComponent, WorkloadSpec};
-pub use trace::{DeviceStream, Trace};
+pub use trace::Trace;

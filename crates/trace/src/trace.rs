@@ -1,6 +1,6 @@
 //! The in-memory trace container and its summary statistics.
 
-use planaria_common::{DeviceId, MemAccess, PageNum};
+use planaria_common::{MemAccess, PageNum};
 use planaria_hash::FastHashSet;
 
 /// An ordered sequence of demand accesses plus a workload name.
@@ -77,85 +77,6 @@ impl Trace {
     /// Truncates the trace to its first `n` accesses (no-op if shorter).
     pub fn truncate(&mut self, n: usize) {
         self.accesses.truncate(n);
-    }
-
-    /// The distinct devices present in the trace, in [`DeviceId::ALL`]
-    /// order (the canonical device-index order).
-    pub fn devices(&self) -> Vec<DeviceId> {
-        let mut seen = [false; DeviceId::COUNT];
-        for a in &self.accesses {
-            seen[a.device.index()] = true;
-        }
-        DeviceId::ALL.into_iter().filter(|d| seen[d.index()]).collect()
-    }
-
-    /// Splits the trace into per-device request streams.
-    ///
-    /// Each [`DeviceStream`] holds the *indices* into [`Trace::accesses`]
-    /// of that device's accesses, in arrival order — the closed-loop
-    /// traffic model replays each stream independently while preserving
-    /// the device's original inter-access gaps as think time. Streams are
-    /// returned in [`DeviceId::ALL`] order; devices absent from the trace
-    /// get no stream.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use planaria_common::{AccessKind, Cycle, DeviceId, MemAccess, PhysAddr};
-    /// use planaria_trace::Trace;
-    ///
-    /// let acc = |addr: u64, dev: DeviceId, cyc: u64| {
-    ///     MemAccess::new(PhysAddr::new(addr), AccessKind::Read, dev, Cycle::new(cyc))
-    /// };
-    /// let t = Trace::new(
-    ///     "t",
-    ///     vec![
-    ///         acc(0x0040, DeviceId::Cpu(0), 10),
-    ///         acc(0x1040, DeviceId::Gpu, 20),
-    ///         acc(0x0080, DeviceId::Cpu(0), 30),
-    ///     ],
-    /// );
-    /// let streams = t.split_by_device();
-    /// assert_eq!(streams.len(), 2);
-    /// assert_eq!(streams[0].device, DeviceId::Cpu(0));
-    /// assert_eq!(streams[0].indices, vec![0, 2]);
-    /// assert_eq!(streams[1].device, DeviceId::Gpu);
-    /// assert_eq!(streams[1].indices, vec![1]);
-    /// ```
-    pub fn split_by_device(&self) -> Vec<DeviceStream> {
-        let mut per_dev: [Vec<usize>; DeviceId::COUNT] = Default::default();
-        for (i, a) in self.accesses.iter().enumerate() {
-            per_dev[a.device.index()].push(i);
-        }
-        let mut out = Vec::new();
-        for (slot, indices) in per_dev.into_iter().enumerate() {
-            if !indices.is_empty() {
-                out.push(DeviceStream { device: DeviceId::from_index(slot), indices });
-            }
-        }
-        out
-    }
-}
-
-/// One device's request stream within a [`Trace`]: the indices of its
-/// accesses in arrival order (see [`Trace::split_by_device`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DeviceStream {
-    /// The device that issued these accesses.
-    pub device: DeviceId,
-    /// Indices into the owning trace's access slice, ascending.
-    pub indices: Vec<usize>,
-}
-
-impl DeviceStream {
-    /// Number of accesses in the stream.
-    pub fn len(&self) -> usize {
-        self.indices.len()
-    }
-
-    /// Returns `true` if the stream has no accesses.
-    pub fn is_empty(&self) -> bool {
-        self.indices.is_empty()
     }
 }
 
@@ -238,37 +159,6 @@ mod tests {
         t.extend(vec![acc(0x80, 50)]);
         assert!(is_sorted_by_cycle(t.accesses()));
         assert_eq!(t.len(), 2);
-    }
-
-    #[test]
-    fn split_by_device_partitions_in_order() {
-        let dev_acc = |addr: u64, dev: DeviceId, cyc: u64| {
-            MemAccess::new(PhysAddr::new(addr), AccessKind::Read, dev, Cycle::new(cyc))
-        };
-        let t = Trace::new(
-            "t",
-            vec![
-                dev_acc(0x0040, DeviceId::Gpu, 5),
-                dev_acc(0x1040, DeviceId::Cpu(1), 1),
-                dev_acc(0x2040, DeviceId::Cpu(1), 9),
-                dev_acc(0x3040, DeviceId::Dsp, 3),
-            ],
-        );
-        let streams = t.split_by_device();
-        // Streams come back in canonical device order, not arrival order.
-        let devs: Vec<DeviceId> = streams.iter().map(|s| s.device).collect();
-        assert_eq!(devs, vec![DeviceId::Cpu(1), DeviceId::Gpu, DeviceId::Dsp]);
-        assert_eq!(devs, t.devices());
-        // Every index is accounted for exactly once and stays ascending.
-        let total: usize = streams.iter().map(DeviceStream::len).sum();
-        assert_eq!(total, t.len());
-        for s in &streams {
-            assert!(!s.is_empty());
-            assert!(s.indices.windows(2).all(|w| w[0] < w[1]));
-            for &i in &s.indices {
-                assert_eq!(t.accesses()[i].device, s.device);
-            }
-        }
     }
 
     #[test]

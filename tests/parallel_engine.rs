@@ -1,12 +1,11 @@
 //! The parallel experiment engine's contract: fan a grid across worker
-//! threads and get *exactly* the serial answer — same results, same order
-//! — while building each distinct trace once.
+//! threads and get *exactly* the serial answer — same results, same order.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use planaria_sim::experiment::PrefetcherKind;
-use planaria_sim::runner::{Job, Runner, TraceSource};
+use planaria_sim::runner::{Job, Runner};
 use planaria_sim::{GovernorConfig, SystemConfig};
 use planaria_trace::apps::{profile, AppId};
 
@@ -48,48 +47,21 @@ fn thread_count_sweep_is_deterministic() {
 }
 
 #[test]
-fn each_distinct_trace_builds_exactly_once() {
-    // 8 jobs over 2 apps at one length: 2 builds. The report's counter is
-    // incremented inside the cache's build closure, so any duplicate
-    // synthesis (racy double-build, per-job rebuild) shows up here.
-    let report = Runner::new(4).run(grid_jobs());
-    assert_eq!(report.trace_builds, 2);
-
-    // Same app at two lengths is two distinct cache keys.
-    let report = Runner::new(4).run(vec![
-        Job::grid_cell(AppId::Hi3, PrefetcherKind::None, 1_000),
-        Job::grid_cell(AppId::Hi3, PrefetcherKind::None, 2_000),
-        Job::grid_cell(AppId::Hi3, PrefetcherKind::NextLine, 1_000),
-        Job::grid_cell(AppId::Hi3, PrefetcherKind::NextLine, 2_000),
-    ]);
-    assert_eq!(report.trace_builds, 2);
-
-    // Shared traces bypass the cache entirely.
-    let trace = Arc::new(profile(AppId::Qsm).scaled(1_000).build());
-    let report = Runner::new(2).run(vec![
-        Job::new("a", TraceSource::Shared(Arc::clone(&trace)), PrefetcherKind::None),
-        Job::new("b", TraceSource::Shared(trace), PrefetcherKind::None),
-    ]);
-    assert_eq!(report.trace_builds, 0);
-}
-
-#[test]
 fn engine_honours_per_job_config() {
     // Two cells differing only in governor config must match the direct
     // MemorySystem paths exactly.
-    let trace = Arc::new(profile(AppId::HoK).scaled(LEN).build());
+    let spec = profile(AppId::HoK).scaled(LEN);
     let governed_cfg =
         SystemConfig { governor: Some(GovernorConfig::default()), ..SystemConfig::default() };
     let report = Runner::new(2).run(vec![
-        Job::new("plain", TraceSource::Shared(Arc::clone(&trace)), PrefetcherKind::Bop),
-        Job::new("gov", TraceSource::Shared(Arc::clone(&trace)), PrefetcherKind::Bop)
-            .config(governed_cfg),
+        Job::new("plain", spec.clone(), PrefetcherKind::Bop),
+        Job::new("gov", spec.clone(), PrefetcherKind::Bop).config(governed_cfg),
     ]);
     let results = report.into_results();
 
     let direct = |cfg| {
         planaria_sim::MemorySystem::new(cfg, PrefetcherKind::Bop.build())
-            .run_stream(&mut trace.stream())
+            .run_stream(&mut spec.build().stream())
     };
     assert_eq!(results[0], direct(SystemConfig::default()));
     assert_eq!(results[1], direct(governed_cfg));
@@ -104,6 +76,7 @@ fn progress_observation_does_not_perturb_results() {
     let observed = Runner::new(2)
         .progress_every(5_000)
         .with_progress(move |e| {
+            assert_eq!(e.trace_len, LEN);
             assert!(e.done <= e.trace_len);
             assert!((0.0..=1.0).contains(&e.hit_rate));
             assert!(e.job < e.total);

@@ -2,28 +2,22 @@
 //! each traffic class has a known "right" prefetcher, and the simulator
 //! must rank them accordingly.
 
-use std::sync::Arc;
-
 use planaria_sim::experiment::PrefetcherKind;
-use planaria_sim::runner::{Job, Runner, TraceSource};
+use planaria_sim::runner::{Job, Runner};
 use planaria_sim::SimResult;
 use planaria_trace::synth::{FootprintSpec, RandomSpec, StreamSpec, StrideSpec};
-use planaria_trace::{ComponentSpec, Trace, WorkloadSpec};
+use planaria_trace::{ComponentSpec, WorkloadSpec};
 
 const LEN: usize = 350_000;
 
-fn single(name: &str, spec: ComponentSpec) -> Trace {
-    WorkloadSpec::new(name, name, 11, LEN).with(1.0, spec).build()
+fn single(name: &str, spec: ComponentSpec) -> WorkloadSpec {
+    WorkloadSpec::new(name, name, 11, LEN).with(1.0, spec)
 }
 
-/// Runs every kind over one shared trace on the parallel engine, results
-/// in `kinds` order.
-fn run_all(trace: Trace, kinds: &[PrefetcherKind]) -> Vec<SimResult> {
-    let trace = Arc::new(trace);
-    let jobs = kinds
-        .iter()
-        .map(|&k| Job::new(k.label(), TraceSource::Shared(Arc::clone(&trace)), k))
-        .collect();
+/// Runs every kind over one workload on the parallel engine, results in
+/// `kinds` order.
+fn run_all(workload: WorkloadSpec, kinds: &[PrefetcherKind]) -> Vec<SimResult> {
+    let jobs = kinds.iter().map(|&k| Job::new(k.label(), workload.clone(), k)).collect();
     Runner::auto().run(jobs).into_results()
 }
 
@@ -35,9 +29,10 @@ fn paper_footprint() -> FootprintSpec {
 
 #[test]
 fn streaming_favours_delta_prefetchers() {
-    let trace = single("stream", ComponentSpec::Stream(StreamSpec::default()));
+    let workload = single("stream", ComponentSpec::Stream(StreamSpec::default()));
     let [none, nl, bop] =
-        &run_all(trace, &[PrefetcherKind::None, PrefetcherKind::NextLine, PrefetcherKind::Bop])[..]
+        &run_all(workload, &[PrefetcherKind::None, PrefetcherKind::NextLine, PrefetcherKind::Bop])
+            [..]
     else {
         unreachable!("three kinds in, three results out")
     };
@@ -48,11 +43,11 @@ fn streaming_favours_delta_prefetchers() {
 
 #[test]
 fn strided_traffic_favours_bop_over_next_line() {
-    let trace = single(
+    let workload = single(
         "stride4",
         ComponentSpec::Stride(StrideSpec { stride_blocks: 4, ..StrideSpec::default() }),
     );
-    let [nl, bop] = &run_all(trace, &[PrefetcherKind::NextLine, PrefetcherKind::Bop])[..] else {
+    let [nl, bop] = &run_all(workload, &[PrefetcherKind::NextLine, PrefetcherKind::Bop])[..] else {
         unreachable!("two kinds in, two results out")
     };
     // Next-line prefetches X+1, which a stride-4 walk never touches.
@@ -67,8 +62,8 @@ fn strided_traffic_favours_bop_over_next_line() {
 
 #[test]
 fn shuffled_footprints_defeat_delta_prefetchers_but_not_planaria() {
-    let trace = single("fp", ComponentSpec::Footprint(paper_footprint()));
-    let [none, bop, spp, planaria] = &run_all(trace, &PrefetcherKind::FIGURE_SET)[..] else {
+    let workload = single("fp", ComponentSpec::Footprint(paper_footprint()));
+    let [none, bop, spp, planaria] = &run_all(workload, &PrefetcherKind::FIGURE_SET)[..] else {
         unreachable!("four kinds in, four results out")
     };
     // Planaria converts revisits into hits; the delta engines mostly can't.
@@ -91,9 +86,9 @@ fn shuffled_footprints_defeat_delta_prefetchers_but_not_planaria() {
 
 #[test]
 fn random_traffic_punishes_aggressive_prefetchers() {
-    let trace = single("rand", ComponentSpec::Random(RandomSpec::default()));
+    let workload = single("rand", ComponentSpec::Random(RandomSpec::default()));
     let [none, nl, planaria] = &run_all(
-        trace,
+        workload,
         &[PrefetcherKind::None, PrefetcherKind::NextLine, PrefetcherKind::Planaria],
     )[..] else {
         unreachable!("three kinds in, three results out")
@@ -111,12 +106,11 @@ fn random_traffic_punishes_aggressive_prefetchers() {
 
 #[test]
 fn planaria_outperforms_its_halves_on_mixed_traffic() {
-    let trace = WorkloadSpec::new("mix", "mix", 17, LEN)
+    let workload = WorkloadSpec::new("mix", "mix", 17, LEN)
         .with(0.6, ComponentSpec::Footprint(paper_footprint()))
-        .with(0.4, ComponentSpec::Neighbor(planaria_trace::synth::NeighborSpec::default()))
-        .build();
+        .with(0.4, ComponentSpec::Neighbor(planaria_trace::synth::NeighborSpec::default()));
     let [slp, tlp, both] = &run_all(
-        trace,
+        workload,
         &[PrefetcherKind::SlpOnly, PrefetcherKind::TlpOnly, PrefetcherKind::Planaria],
     )[..] else {
         unreachable!("three kinds in, three results out")
