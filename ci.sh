@@ -37,7 +37,7 @@ if [[ "${1:-}" != "fast" ]]; then
     CARGO_TARGET_DIR=target/perfbench cargo test --release --offline \
         --manifest-path perfbench/Cargo.toml
 
-    step "perfbench pinned results (seed-0 runs must match perfbench/src/expected.rs)"
+    step "perfbench pinned results (seed-0 runs must match perfbench/src/expected.rs; fleet peak RSS < 335 MiB)"
     # The tests above never run a workload, so a hot-path change that moves
     # a pinned seed-0 fingerprint would pass them. A one-second run checks
     # every operation of its workload against the pinned digests; its last
@@ -54,6 +54,18 @@ if [[ "${1:-}" != "fast" ]]; then
                 exit 1
             fi
             echo "perfbench $w --trace $trace: correct, 0 failed"
+            if [[ "$w" == served-fleet && "$trace" == 0 ]]; then
+                # A served device holds no access buffer between turns: the
+                # fleet peaks near 327 MiB. One that kept its 256-access pull
+                # buffer (6 KiB x 3000 devices) peaks near 344 MiB, and one
+                # that also kept a mailbox near 362 MiB; the gate sits between.
+                rss=$(grep -oE '"peak_rss_mb":\{"value":[0-9.]+' <<< "$line" | grep -oE '[0-9.]+$' || true)
+                if [[ -z "$rss" ]] || ! awk -v r="$rss" 'BEGIN { exit !(r < 335) }'; then
+                    echo "perfbench served-fleet: peak_rss_mb ${rss:-unknown} is not under 335"
+                    exit 1
+                fi
+                echo "perfbench served-fleet: peak_rss_mb $rss, under 335"
+            fi
         done
     done
 

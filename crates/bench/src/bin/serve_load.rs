@@ -13,6 +13,10 @@
 //!     [--devices N] [--len N] [--shards N] [--workers N] [--quantum N] [--out FILE]
 //! cargo run --release -p planaria-bench --bin serve_load -- --check FILE
 //! ```
+//!
+//! `--quantum` is the pump quantum: driver iterations per device turn
+//! (`ServeConfig::pump_quantum`, default 4096). Each turn pulls at most
+//! one chunk of the device's `mailbox` (256) accesses either way.
 
 #![allow(clippy::disallowed_methods)]
 
@@ -28,7 +32,8 @@ use planaria_trace::apps::AppId;
 
 /// One-line usage summary (stderr on `--help` and on argument errors).
 const USAGE: &str = "usage: serve_load [--devices N] [--len N] [--shards N] [--workers N] \
-                     [--quantum N] [--kind LABEL] [--out FILE] | --check FILE";
+                     [--quantum N (pump iterations per device turn)] [--kind LABEL] \
+                     [--out FILE] | --check FILE";
 
 /// Reports a usage error and exits 2 (never returns).
 fn fail(msg: String) -> ! {
@@ -201,13 +206,7 @@ fn main() {
         rss_after_build.unwrap_or(0) as f64 / 1024.0
     );
 
-    let cfg = ServeConfig {
-        shards,
-        workers,
-        pump_quantum: quantum,
-        ingest_quantum: quantum,
-        keep_device_reports: false,
-    };
+    let cfg = ServeConfig { shards, workers, pump_quantum: quantum, keep_device_reports: false };
     let shared = Arc::new(Mutex::new(Histogram::new()));
     let observer_source = Arc::clone(&shared);
     let t0 = Instant::now();

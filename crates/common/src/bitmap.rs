@@ -241,27 +241,6 @@ macro_rules! impl_iter_set {
 impl_iter_set!(u16);
 impl_iter_set!(u64);
 
-impl Bitmap64 {
-    /// Splits a whole-page bitmap into its four per-channel segment bitmaps.
-    pub fn split_segments(self) -> [Bitmap16; crate::NUM_CHANNELS] {
-        let mut out = [Bitmap16::EMPTY; crate::NUM_CHANNELS];
-        for (seg, slot) in out.iter_mut().enumerate() {
-            let shifted = (self.bits() >> (seg * crate::BLOCKS_PER_SEGMENT)) as u16;
-            *slot = Bitmap16::from_bits(shifted);
-        }
-        out
-    }
-
-    /// Reassembles a whole-page bitmap from per-channel segment bitmaps.
-    pub fn from_segments(segments: [Bitmap16; crate::NUM_CHANNELS]) -> Self {
-        let mut bits = 0u64;
-        for (seg, bm) in segments.iter().enumerate() {
-            bits |= (bm.bits() as u64) << (seg * crate::BLOCKS_PER_SEGMENT);
-        }
-        Self::from_bits(bits)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -310,15 +289,6 @@ mod tests {
     }
 
     #[test]
-    fn segment_split_round_trip() {
-        let b = Bitmap64::from_bits(0xDEAD_BEEF_1234_5678);
-        let segs = b.split_segments();
-        assert_eq!(Bitmap64::from_segments(segs), b);
-        assert_eq!(segs[0].bits(), 0x5678);
-        assert_eq!(segs[3].bits(), 0xDEAD);
-    }
-
-    #[test]
     fn display_is_fixed_width() {
         assert_eq!(format!("{}", Bitmap16::from_bits(0b101)).len(), 16);
         assert_eq!(format!("{}", Bitmap64::EMPTY).len(), 64);
@@ -341,12 +311,6 @@ mod tests {
         fn prop_hamming_triangle_inequality(a: u16, b: u16, c: u16) {
             let (a, b, c) = (Bitmap16::from_bits(a), Bitmap16::from_bits(b), Bitmap16::from_bits(c));
             prop_assert!(a.hamming_distance(c) <= a.hamming_distance(b) + b.hamming_distance(c));
-        }
-
-        #[test]
-        fn prop_split_round_trips(bits: u64) {
-            let b = Bitmap64::from_bits(bits);
-            prop_assert_eq!(Bitmap64::from_segments(b.split_segments()), b);
         }
 
         #[test]

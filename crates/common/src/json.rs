@@ -68,17 +68,24 @@ pub fn validate(text: &str) -> Result<(), String> {
     parse(text).map(|_| ())
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so an unbounded depth would let a hostile document
+/// overflow the stack; the deepest document the workspace writes
+/// (`planaria-contention-v1`) nests 7 levels.
+const MAX_DEPTH: usize = 128;
+
 /// Parses `text` as exactly one JSON value.
 ///
 /// Object member order is preserved ([`Value::Object`] is a `Vec`, not a
-/// map), so round-tripping and iteration are deterministic.
+/// map), so round-tripping and iteration are deterministic. Arrays and
+/// objects may nest at most 128 levels deep.
 ///
 /// # Errors
 ///
-/// Returns a human-readable description of the first syntax error, with
-/// its byte offset.
+/// Returns a human-readable description of the first syntax error or
+/// over-deep nesting, with its byte offset.
 pub fn parse(text: &str) -> Result<Value, String> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -150,6 +157,8 @@ impl Value {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -193,8 +202,15 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let v = if open == b'{' { self.object() } else { self.array() };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => self.string().map(Value::Str),
             Some(b't') => self.literal("true").map(|()| Value::Bool(true)),
             Some(b'f') => self.literal("false").map(|()| Value::Bool(false)),
@@ -590,6 +606,17 @@ mod tests {
         ] {
             assert!(validate(bad).is_err(), "accepted malformed JSON: {bad}");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert_eq!(validate(&nested(MAX_DEPTH)), Ok(()));
+        let err = validate(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting") && err.contains(&format!("byte {MAX_DEPTH}")), "{err}");
+        // Far past any thread's stack if the parser recursed unbounded.
+        assert!(validate(&"[".repeat(100_000)).is_err());
+        assert!(validate(&"{\"k\": ".repeat(100_000)).is_err());
     }
 
     #[test]

@@ -1,9 +1,6 @@
-//! One served device: bounded mailbox → resumable closed-loop driver →
-//! private memory system.
+//! One served device: its own workload stream → resumable closed-loop
+//! driver → private memory system.
 
-use std::collections::VecDeque;
-
-use planaria_common::MemAccess;
 use planaria_sim::experiment::PrefetcherKind;
 use planaria_sim::{
     ClosedLoopDriver, ClosedLoopReport, MemorySystem, Pump, SimResult, SystemConfig, TrafficConfig,
@@ -38,7 +35,9 @@ pub struct DeviceSpec {
     pub seed: u64,
     /// Closed-loop outstanding-request window per requestor.
     pub window: usize,
-    /// Mailbox bound: accesses queued between ingress and the driver.
+    /// Accesses pulled per turn: the most one [`ServedDevice::pump`]
+    /// call takes from the device's stream (at least 1). The name is the
+    /// v1 snapshot key.
     pub mailbox: usize,
     /// Cap on any footprint component's revisited page pool in the
     /// derived workload. The Table 2 profiles size their pools (6–10k
@@ -54,9 +53,9 @@ pub struct DeviceSpec {
 }
 
 impl DeviceSpec {
-    /// A spec with serving defaults: 2 000 accesses, window 8, mailbox
-    /// 256, the paper's Table 1 system, the full Planaria prefetcher, and
-    /// a per-device seed derived from the app profile.
+    /// A spec with serving defaults: 2 000 accesses, window 8, pulls of
+    /// 256 accesses, the paper's Table 1 system, the full Planaria
+    /// prefetcher, and a per-device seed derived from the app profile.
     pub fn new(id: u64, app: AppId) -> Self {
         Self {
             id,
@@ -94,23 +93,13 @@ impl DeviceSpec {
     }
 }
 
-/// What [`ServedDevice::try_push`] did with an access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Push {
-    /// The access was queued.
-    Accepted,
-    /// The mailbox is at its bound; retry after pumping. The access was
-    /// *not* taken — backpressure never drops or reorders.
-    Full,
-}
-
 /// Why [`ServedDevice::pump`] returned control.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DevicePump {
     /// The iteration budget ran out; more simulation work remains.
     Working,
-    /// Mailbox empty and ingress still open: the device is input-starved
-    /// (this is the quiescent point snapshots are taken at).
+    /// The driver asked for input again after the turn's one pull: the
+    /// turn is over (this is the quiescent point snapshots are taken at).
     Starved,
     /// The session is complete; [`ServedDevice::report`] is available.
     Done,
@@ -129,52 +118,48 @@ pub struct DeviceReport {
     pub telemetry: TelemetryReport,
 }
 
-/// One simulated phone as a compact, snapshottable state machine: a
-/// private [`MemorySystem`], the resumable closed-loop driver, and a
-/// bounded mailbox between ingress and injection.
+/// One simulated phone as a compact, snapshottable state machine: its
+/// own seeded workload stream, the resumable closed-loop driver, and a
+/// private [`MemorySystem`].
 ///
-/// The mailbox feeds the driver only when the driver reports
-/// `NeedInput` — the same lazy-pull discipline the batch
-/// [`TrafficModel`](planaria_sim::TrafficModel) uses — so a served run is
-/// bit-identical to the batch closed loop over the same accesses, no
-/// matter how ingress is chunked or how often pumping pauses.
+/// The device pulls from its stream only inside [`ServedDevice::pump`],
+/// only when the driver reports `NeedInput`, and at most one chunk of
+/// [`DeviceSpec::mailbox`] accesses per call — the same lazy-pull
+/// discipline the batch [`TrafficModel`](planaria_sim::TrafficModel)
+/// uses, through the same
+/// [`ClosedLoopDriver::refill`](planaria_sim::ClosedLoopDriver::refill).
+/// A served run is therefore bit-identical to the batch closed loop over
+/// the same accesses, whatever the pull size or pump budget.
 ///
 /// # Examples
 ///
-/// Mailbox backpressure — a full mailbox refuses (never drops) and the
-/// refused access can be retried after pumping:
+/// One pull per turn; an empty pull ends the session in the same call:
 ///
 /// ```
-/// use planaria_serve::{DeviceSpec, Push, ServedDevice};
-/// use planaria_trace::apps::{profile, AppId};
+/// use planaria_serve::{DevicePump, DeviceSpec, ServedDevice};
+/// use planaria_trace::apps::AppId;
 ///
-/// let mut spec = DeviceSpec::new(0, AppId::TikT);
-/// spec.mailbox = 2;
-/// let mut dev = ServedDevice::external(spec);
+/// let mut spec = DeviceSpec::new(0, AppId::TikT).scaled(100);
+/// spec.mailbox = 40;
+/// let mut dev = ServedDevice::from_spec(spec);
 ///
-/// let accesses = profile(AppId::TikT).scaled(100).build();
-/// let a = accesses.accesses();
-/// assert_eq!(dev.try_push(a[0]), Push::Accepted);
-/// assert_eq!(dev.try_push(a[1]), Push::Accepted);
-/// assert_eq!(dev.try_push(a[2]), Push::Full, "bound reached: refused, not dropped");
-///
-/// dev.pump(usize::MAX); // drains the mailbox into the driver
-/// assert_eq!(dev.try_push(a[2]), Push::Accepted, "same access retries after pumping");
+/// assert_eq!(dev.pump(usize::MAX), DevicePump::Starved);
+/// assert_eq!(dev.consumed(), 40, "one pull of at most `mailbox` accesses");
+/// dev.pump(usize::MAX);
+/// dev.pump(usize::MAX);
+/// assert_eq!(dev.consumed(), 100, "the third pull is the partial tail");
+/// assert_eq!(dev.pump(usize::MAX), DevicePump::Done, "an empty pull closes and drains");
+/// assert_eq!(dev.report().unwrap().result.accesses, 100);
 /// ```
 pub struct ServedDevice {
     pub(crate) spec: DeviceSpec,
-    /// Result label (the workload abbreviation, like batch runs use).
-    label: String,
-    /// Self-ingress source; `None` for externally fed devices.
-    pub(crate) source: Option<WorkloadStream>,
-    /// Accesses that entered the mailbox so far (= the replay position).
+    /// The device's demand traffic, rendered on demand from the spec; its
+    /// name (the workload abbreviation) labels the result.
+    stream: WorkloadStream,
+    /// Accesses offered to the driver so far (= the replay position).
     pub(crate) consumed: u64,
-    /// Ingress has ended (stream exhausted, or closed externally).
-    pub(crate) source_eof: bool,
-    mailbox: VecDeque<MemAccess>,
-    scratch: Vec<MemAccess>,
-    sys: Option<MemorySystem>,
-    driver: Option<ClosedLoopDriver>,
+    /// The memory system and its driver, until the session finishes.
+    live: Option<(MemorySystem, ClosedLoopDriver)>,
     report: Option<DeviceReport>,
 }
 
@@ -187,8 +172,6 @@ impl std::fmt::Debug for ServedDevice {
             .field("app", &self.spec.app)
             .field("consumed", &self.consumed)
             .field("injected", &self.injected())
-            .field("mailbox", &self.mailbox.len())
-            .field("eof", &self.source_eof)
             .field("done", &self.is_done())
             .finish_non_exhaustive()
     }
@@ -197,34 +180,19 @@ impl std::fmt::Debug for ServedDevice {
 impl ServedDevice {
     /// A device that renders its own demand traffic from
     /// [`DeviceSpec::workload`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `spec.window` or `spec.mailbox` is zero.
     pub fn from_spec(spec: DeviceSpec) -> Self {
-        let workload = spec.workload();
-        let source = Some(workload.stream());
-        Self::build(spec, workload.abbr, source)
-    }
-
-    /// A device fed externally through [`ServedDevice::try_push`] and
-    /// [`ServedDevice::close_ingress`]. External devices cannot snapshot
-    /// (there is no replayable source).
-    pub fn external(spec: DeviceSpec) -> Self {
-        let label = spec.workload().abbr;
-        Self::build(spec, label, None)
-    }
-
-    fn build(spec: DeviceSpec, label: String, source: Option<WorkloadStream>) -> Self {
-        assert!(spec.mailbox > 0, "mailbox bound must be at least 1");
+        assert!(spec.mailbox > 0, "mailbox (accesses pulled per turn) must be at least 1");
         let sys = MemorySystem::new(spec.system, spec.kind.build());
         let driver = ClosedLoopDriver::new(TrafficConfig::new(spec.window));
         Self {
+            stream: spec.workload().stream(),
             spec,
-            label,
-            source,
             consumed: 0,
-            source_eof: false,
-            mailbox: VecDeque::new(),
-            scratch: Vec::new(),
-            sys: Some(sys),
-            driver: Some(driver),
+            live: Some((sys, driver)),
             report: None,
         }
     }
@@ -239,26 +207,15 @@ impl ServedDevice {
         self.spec.home_page
     }
 
-    /// Whether this device renders its own demand traffic (as opposed to
-    /// being fed externally through [`ServedDevice::try_push`]).
-    pub fn has_source(&self) -> bool {
-        self.source.is_some()
-    }
-
-    /// Accesses currently queued in the mailbox.
-    pub fn mailbox_len(&self) -> usize {
-        self.mailbox.len()
-    }
-
-    /// Accesses that entered the mailbox so far.
+    /// Accesses offered to the driver so far.
     pub fn consumed(&self) -> u64 {
         self.consumed
     }
 
     /// Accesses injected into the memory system so far.
     pub fn injected(&self) -> u64 {
-        match (&self.driver, &self.report) {
-            (Some(d), _) => d.injected(),
+        match (&self.live, &self.report) {
+            (Some((_, driver)), _) => driver.injected(),
             (None, Some(r)) => r.result.accesses,
             (None, None) => 0,
         }
@@ -283,101 +240,46 @@ impl ServedDevice {
         self.report.expect("into_report requires a finished session")
     }
 
-    /// Queues one access from an external producer; see [`Push`].
-    ///
-    /// Accesses must arrive cycle-sorted (the same contract every
-    /// [`AccessStream`] satisfies).
-    ///
-    /// # Panics
-    ///
-    /// Panics on self-sourced devices (their ingress is
-    /// [`ServedDevice::ingest`]) and after
-    /// [`ServedDevice::close_ingress`].
-    pub fn try_push(&mut self, access: MemAccess) -> Push {
-        assert!(self.source.is_none(), "spec-sourced devices ingest from their own stream");
-        assert!(!self.source_eof, "push after close_ingress");
-        if self.mailbox.len() >= self.spec.mailbox {
-            return Push::Full;
-        }
-        self.mailbox.push_back(access);
-        self.consumed += 1;
-        Push::Accepted
-    }
-
-    /// Declares external ingress over: once the mailbox drains, the
-    /// session runs to completion.
-    pub fn close_ingress(&mut self) {
-        self.source_eof = true;
-    }
-
-    /// Pulls up to `max` accesses from the device's own workload stream
-    /// into the mailbox (bounded by the free mailbox space). Returns how
-    /// many were queued; observes end-of-stream by returning 0 and
-    /// latching ingress closed.
-    pub fn ingest(&mut self, max: usize) -> usize {
-        if self.source_eof || self.report.is_some() {
-            return 0;
-        }
-        let Some(source) = self.source.as_mut() else {
-            return 0;
-        };
-        let want = max.min(self.spec.mailbox - self.mailbox.len());
-        if want == 0 {
-            return 0;
-        }
-        let n = source.next_chunk(want, &mut self.scratch);
-        if n == 0 {
-            self.source_eof = true;
-            return 0;
-        }
-        self.mailbox.extend(self.scratch.iter().copied());
-        self.consumed += n as u64;
-        n
-    }
-
-    /// Advances the simulation by at most `budget` driver iterations,
-    /// feeding the driver from the mailbox at its `NeedInput` boundaries.
-    /// Finishing the session computes [`ServedDevice::report`].
+    /// Runs one turn: advances the simulation by at most `budget` driver
+    /// iterations, answering the driver's first `NeedInput` with one pull
+    /// of at most [`DeviceSpec::mailbox`] accesses from the device's
+    /// stream. A second `NeedInput` ends the turn
+    /// ([`DevicePump::Starved`]). An empty pull closes the driver and the
+    /// session drains in the same call, computing
+    /// [`ServedDevice::report`].
     pub fn pump(&mut self, budget: usize) -> DevicePump {
-        if self.report.is_some() {
+        self.advance(budget, self.spec.mailbox)
+    }
+
+    /// Pumps without pulling until the driver waits for input or the
+    /// session is done: the quiescent point snapshots require.
+    pub(crate) fn quiesce(&mut self) -> DevicePump {
+        self.advance(usize::MAX, 0)
+    }
+
+    /// [`ServedDevice::pump`] with the turn's pull bounded by `pull`
+    /// accesses; `0` pulls nothing. Restore replays through this with
+    /// pulls that end exactly at a snapshot's position.
+    pub(crate) fn advance(&mut self, budget: usize, mut pull: usize) -> DevicePump {
+        let Some((sys, driver)) = self.live.as_mut() else {
             return DevicePump::Done;
-        }
-        let sys = self.sys.as_mut().expect("live session has a memory system");
-        let driver = self.driver.as_mut().expect("live session has a driver");
+        };
         loop {
             match driver.pump(sys, budget) {
                 Pump::Budget => return DevicePump::Working,
-                Pump::NeedInput => {
-                    if self.mailbox.is_empty() {
-                        if self.source_eof {
-                            driver.close();
-                            continue;
-                        }
-                        return DevicePump::Starved;
-                    }
-                    while let Some(a) = self.mailbox.pop_front() {
-                        driver.offer(&a);
-                    }
+                Pump::NeedInput if pull > 0 => {
+                    // Turn-local: no pull buffer outlives the turn.
+                    let mut chunk = Vec::new();
+                    self.consumed += driver.refill(&mut self.stream, pull, &mut chunk) as u64;
+                    pull = 0;
                 }
+                Pump::NeedInput => return DevicePump::Starved,
                 Pump::Drained => break,
             }
         }
-        let driver = self.driver.take().expect("drained session still owns its driver");
-        let sys = self.sys.take().expect("drained session still owns its memory system");
-        let (result, closed_loop, telemetry) = driver.finish(sys, &self.label);
+        let (sys, driver) = self.live.take().expect("a drained session is still live");
+        let (result, closed_loop, telemetry) = driver.finish(sys, self.stream.name());
         self.report = Some(DeviceReport { id: self.spec.id, result, closed_loop, telemetry });
         DevicePump::Done
-    }
-
-    /// Pumps without budget until the device is input-starved (mailbox
-    /// empty, driver waiting) or done — the quiescent point snapshots
-    /// require.
-    pub fn quiesce(&mut self) -> DevicePump {
-        loop {
-            match self.pump(usize::MAX) {
-                DevicePump::Working => {}
-                other => return other,
-            }
-        }
     }
 }

@@ -10,17 +10,18 @@
 //!
 //! The moving parts, in data-flow order:
 //!
-//! * **Ingress** — every device renders its own demand traffic from a
-//!   seeded [`WorkloadSpec::stream()`](planaria_trace::WorkloadSpec)
-//!   (or is fed externally via [`ServedDevice::try_push`]) into a
-//!   *bounded mailbox*. A full mailbox refuses the access
-//!   ([`Push::Full`]); the producer retries later — nothing is ever
-//!   dropped or reordered.
-//! * **Simulation** — the mailbox feeds the resumable
+//! * **Ingress** — every device owns a seeded
+//!   [`WorkloadSpec::stream()`](planaria_trace::WorkloadSpec) of its own
+//!   demand traffic and pulls from it only inside [`ServedDevice::pump`]:
+//!   at most one chunk of [`DeviceSpec::mailbox`] accesses per turn, and
+//!   only when the driver asks for input.
+//! * **Simulation** — each pull feeds the resumable
 //!   [`ClosedLoopDriver`](planaria_sim::ClosedLoopDriver) exactly at its
-//!   `NeedInput` boundaries, so a served device is bit-identical to a
-//!   batch [`TrafficModel`](planaria_sim::TrafficModel) run over the same
-//!   accesses (pinned by `tests/serve.rs`).
+//!   `NeedInput` boundaries, through the same
+//!   [`refill`](planaria_sim::ClosedLoopDriver::refill) the batch
+//!   [`TrafficModel`](planaria_sim::TrafficModel) uses, so a served
+//!   device is bit-identical to a batch run over the same accesses
+//!   (pinned by `tests/serve.rs`).
 //! * **Sharding** — devices are partitioned by [`shard_of`] over their
 //!   home page; shards are independent, so any worker count produces
 //!   identical results. Scheduling inside a shard is round-based and
@@ -56,7 +57,7 @@ mod service;
 mod shard;
 mod snapshot;
 
-pub use device::{DevicePump, DeviceReport, DeviceSpec, Push, ServedDevice};
+pub use device::{DevicePump, DeviceReport, DeviceSpec, ServedDevice};
 pub use service::{NullObserver, ServeConfig, ServeReport, Service, ShardObserver, ShardSummary};
 pub use shard::{mix64, shard_of};
 pub use snapshot::SNAPSHOT_SCHEMA;

@@ -1,7 +1,5 @@
 //! Round-based multiplexing of many devices over a worker pool.
 
-use std::collections::BTreeMap;
-
 use planaria_telemetry::TelemetryReport;
 
 use crate::device::{DevicePump, DeviceReport, ServedDevice};
@@ -18,10 +16,10 @@ pub struct ServeConfig {
     /// `w, w + workers, w + 2·workers, …` — shards never split across
     /// workers, so any worker count produces identical results.
     pub workers: usize,
-    /// Driver iterations granted to one device per scheduling round.
+    /// Driver iterations granted to one device per turn (each turn also
+    /// pulls at most [`DeviceSpec::mailbox`](crate::DeviceSpec::mailbox)
+    /// accesses from the device's stream).
     pub pump_quantum: usize,
-    /// Accesses one device may ingest from its stream per round.
-    pub ingest_quantum: usize,
     /// Keep every finished [`DeviceReport`] in the [`ServeReport`].
     /// Defaults off: at 100k+ devices the per-device reports dominate
     /// memory, and the per-shard summaries already conserve the totals.
@@ -30,13 +28,7 @@ pub struct ServeConfig {
 
 impl Default for ServeConfig {
     fn default() -> Self {
-        Self {
-            shards: 16,
-            workers: 1,
-            pump_quantum: 4_096,
-            ingest_quantum: 4_096,
-            keep_device_reports: false,
-        }
+        Self { shards: 16, workers: 1, pump_quantum: 4_096, keep_device_reports: false }
     }
 }
 
@@ -48,7 +40,8 @@ impl Default for ServeConfig {
 /// owned by the worker running that shard, so implementations need
 /// `Send` but no interior locking.
 pub trait ShardObserver: Send {
-    /// A device is about to be pumped.
+    /// A device's turn is about to start: its pump call, which also
+    /// pulls from the device's stream.
     fn pump_started(&mut self, _device: u64) {}
     /// The device's turn ended after injecting `injected` accesses.
     fn pump_finished(&mut self, _device: u64, _injected: u64) {}
@@ -115,7 +108,8 @@ impl ServeReport {
 /// deterministic round-based scheduling.
 ///
 /// Within a shard, each round visits the live devices in ascending
-/// device-id order, granting each an ingest quantum and a pump quantum.
+/// device-id order and gives each one turn: one [`ServedDevice::pump`]
+/// call with the pump quantum.
 /// All scheduling is in virtual (simulated) time; two runs over the same
 /// devices and config produce identical reports regardless of worker
 /// count or host load.
@@ -129,12 +123,11 @@ impl Service {
     ///
     /// # Panics
     ///
-    /// Panics if `shards`, `workers` or either quantum is zero.
+    /// Panics if `shards`, `workers` or `pump_quantum` is zero.
     pub fn new(cfg: ServeConfig) -> Self {
         assert!(cfg.shards > 0, "need at least one shard");
         assert!(cfg.workers > 0, "need at least one worker");
         assert!(cfg.pump_quantum > 0, "pump quantum must be positive");
-        assert!(cfg.ingest_quantum > 0, "ingest quantum must be positive");
         Self { cfg }
     }
 
@@ -162,7 +155,6 @@ impl Service {
             bucket.sort_by_key(ServedDevice::id);
         }
 
-        let keep = self.cfg.keep_device_reports;
         let cfg = self.cfg;
 
         // Interleaved shard → worker assignment; each worker returns its
@@ -172,8 +164,6 @@ impl Service {
             std::thread::scope(|scope| {
                 let mut handles = Vec::with_capacity(cfg.workers);
                 let make_observer = &make_observer;
-                // Hand each worker its own shards; drain in reverse so
-                // removal indices stay valid.
                 let mut per_worker: Vec<Vec<(usize, Vec<ServedDevice>)>> =
                     (0..cfg.workers).map(|_| Vec::new()).collect();
                 for (shard, bucket) in buckets.into_iter().enumerate() {
@@ -185,7 +175,7 @@ impl Service {
                             .map(|(shard, bucket)| {
                                 let mut obs = make_observer(shard);
                                 let (summary, reports) =
-                                    run_shard(shard, bucket, &cfg, keep, obs.as_mut());
+                                    run_shard(shard, bucket, &cfg, obs.as_mut());
                                 (shard, summary, reports)
                             })
                             .collect::<Vec<_>>()
@@ -206,12 +196,12 @@ impl Service {
     }
 }
 
-/// Runs one shard's round loop to completion.
+/// Runs one shard's round loop to completion over `devices`, which are
+/// in device-id order.
 fn run_shard(
     shard: usize,
     mut devices: Vec<ServedDevice>,
     cfg: &ServeConfig,
-    keep: bool,
     obs: &mut dyn ShardObserver,
 ) -> (ShardSummary, Vec<DeviceReport>) {
     let total = devices.len() as u64;
@@ -223,24 +213,12 @@ fn run_shard(
             if dev.is_done() {
                 continue;
             }
-            dev.ingest(cfg.ingest_quantum);
             let before = dev.injected();
             obs.pump_started(dev.id());
             let state = dev.pump(cfg.pump_quantum);
             obs.pump_finished(dev.id(), dev.injected() - before);
             if state == DevicePump::Done {
                 live -= 1;
-            } else if state == DevicePump::Starved && dev.mailbox_len() == 0 {
-                // A spec-sourced device only starves at end-of-stream
-                // (ingest fills the mailbox each round); an externally
-                // fed device starving here would spin the round loop
-                // forever, so the round-based service rejects it.
-                assert!(
-                    dev.has_source(),
-                    "device {} starved with no source: feed external devices \
-                     manually, not through Service::run",
-                    dev.id()
-                );
             }
         }
     }
@@ -248,21 +226,16 @@ fn run_shard(
     let mut accesses = 0u64;
     let mut max_slowdown = 0.0f64;
     let mut telemetry = TelemetryReport::default();
-    // Absorb in device-id order (BTreeMap keys) so the summary is
-    // independent of round interleaving.
-    let mut by_id: BTreeMap<u64, DeviceReport> = BTreeMap::new();
-    for dev in devices {
-        let report = dev.into_report();
-        by_id.insert(report.id, report);
-    }
     let mut reports = Vec::new();
-    for report in by_id.into_values() {
+    // Absorb in device-id order, so the summary is independent of round
+    // interleaving.
+    for report in devices.into_iter().map(ServedDevice::into_report) {
         accesses += report.result.accesses;
         for outcome in &report.closed_loop.devices {
             max_slowdown = max_slowdown.max(outcome.slowdown);
         }
         telemetry.absorb(&report.telemetry);
-        if keep {
+        if cfg.keep_device_reports {
             reports.push(report);
         }
     }

@@ -76,16 +76,25 @@ fn u64_string_field(doc: &Value, key: &str) -> Result<u64, String> {
         .map_err(|e| format!("snapshot field {key:?} is not a decimal u64: {e}"))
 }
 
+/// Reads a size field that must be at least 1 (`window`, `mailbox`): a
+/// zero would build a device that can never inject or never pull.
+fn positive_field(doc: &Value, key: &str) -> Result<usize, String> {
+    match usize_field(doc, key)? {
+        0 => Err(format!("snapshot field {key:?} must be at least 1")),
+        v => Ok(v),
+    }
+}
+
 impl ServedDevice {
     /// Serialises this device to a `planaria-serve-snapshot-v1` JSON
-    /// document, quiescing it first (snapshots are only meaningful at the
-    /// input-starved point, where the mailbox is empty and the simulated
-    /// state is a pure function of the accesses consumed so far).
+    /// document, quiescing it first: it pumps without pulling until the
+    /// driver waits for input, where the simulated state is a pure
+    /// function of the accesses consumed so far.
     ///
     /// # Errors
     ///
-    /// Fails for externally fed devices (their traffic is not
-    /// replayable) and for devices that already finished.
+    /// Fails for a device that has finished, or finishes while quiescing
+    /// (its driver was closed by an empty pull).
     ///
     /// # Examples
     ///
@@ -97,31 +106,24 @@ impl ServedDevice {
     ///
     /// let spec = DeviceSpec::new(7, AppId::Cfm).scaled(600);
     ///
-    /// // Run a device halfway, snapshot it, restore, finish both.
+    /// // Run a device for one turn (one pull of 256), snapshot it,
+    /// // restore, finish both.
     /// let mut original = ServedDevice::from_spec(spec.clone());
-    /// original.ingest(300);
-    /// original.quiesce();
+    /// original.pump(usize::MAX);
     /// let doc = original.snapshot().unwrap();
     /// assert!(doc.contains("planaria-serve-snapshot-v1"));
     ///
     /// let parsed = planaria_common::json::parse(&doc).unwrap();
     /// let mut restored = ServedDevice::restore(&parsed, spec.system).unwrap();
     ///
-    /// while !original.is_done() { original.ingest(usize::MAX); original.quiesce(); }
-    /// while !restored.is_done() { restored.ingest(usize::MAX); restored.quiesce(); }
+    /// while !original.is_done() { original.pump(usize::MAX); }
+    /// while !restored.is_done() { restored.pump(usize::MAX); }
     /// assert_eq!(original.report(), restored.report());
     /// ```
     pub fn snapshot(&mut self) -> Result<String, String> {
-        if self.source.is_none() {
-            return Err("externally fed devices cannot snapshot (no replayable source)".into());
-        }
-        if self.is_done() {
-            return Err("session already finished; persist its report instead".into());
-        }
         if self.quiesce() != DevicePump::Starved {
-            return Err("device finished while quiescing; persist its report instead".into());
+            return Err("session finished; persist its report instead".into());
         }
-        debug_assert_eq!(self.mailbox_len(), 0, "quiesced device has an empty mailbox");
 
         let mut w = Writer::pretty();
         w.begin_object();
@@ -152,8 +154,11 @@ impl ServedDevice {
         w.string(self.spec.kind.label());
         w.key("consumed");
         w.u64(self.consumed);
+        // An empty pull closes the driver, and the device finishes in
+        // that call or in the quiesce above, so a device that snapshots
+        // has never seen its stream end: v1 keeps the key, always false.
         w.key("eof");
-        w.bool(self.source_eof);
+        w.bool(false);
         w.end_object();
         Ok(w.finish())
     }
@@ -169,8 +174,9 @@ impl ServedDevice {
     /// # Errors
     ///
     /// Fails on a wrong/missing schema tag, missing or ill-typed fields,
-    /// unknown app/prefetcher labels, or a source stream shorter than the
-    /// recorded `consumed` position.
+    /// a zero `window` or `mailbox`, unknown app/prefetcher labels,
+    /// `"eof": true`, or a source stream shorter than the recorded
+    /// `consumed` position.
     pub fn restore(doc: &Value, system: SystemConfig) -> Result<ServedDevice, String> {
         let schema = str_field(doc, "schema")?;
         if schema != SNAPSHOT_SCHEMA {
@@ -184,8 +190,8 @@ impl ServedDevice {
             app: app_from_abbr(str_field(doc, "app")?)?,
             length: usize_field(doc, "length")?,
             seed: u64_string_field(doc, "seed")?,
-            window: usize_field(doc, "window")?,
-            mailbox: usize_field(doc, "mailbox")?,
+            window: positive_field(doc, "window")?,
+            mailbox: positive_field(doc, "mailbox")?,
             pool_cap: match doc.get("pool_cap") {
                 Some(Value::Null) => None,
                 Some(_) => Some(usize_field(doc, "pool_cap")?),
@@ -195,46 +201,30 @@ impl ServedDevice {
             kind: kind_from_label(str_field(doc, "prefetcher")?)?,
         };
         let target = num_field(doc, "consumed")?;
-        let eof = doc
-            .get("eof")
-            .and_then(|v| match v {
-                Value::Bool(b) => Some(*b),
-                _ => None,
-            })
-            .ok_or("snapshot field \"eof\" missing or not a bool")?;
-
-        // Replay: re-render exactly the consumed prefix of the seeded
-        // stream through a fresh device. Feeding happens only at the
-        // driver's NeedInput boundaries (inside pump), so chunking here
-        // cannot perturb the rebuilt state.
-        let mut dev = ServedDevice::from_spec(spec);
-        while dev.consumed < target {
-            // `want` is an upper bound for ingest, so clamping the u64
-            // remainder is loss-free — the loop simply iterates again.
-            let want = usize::try_from(target - dev.consumed).unwrap_or(usize::MAX);
-            if dev.ingest(want) == 0 {
-                return Err(format!(
-                    "source stream ended at {} accesses but snapshot consumed {target}",
-                    dev.consumed
-                ));
+        match doc.get("eof") {
+            Some(Value::Bool(false)) => {}
+            Some(Value::Bool(true)) => {
+                return Err("snapshot field \"eof\" is true, but a device that has seen its \
+                            stream end finishes before it can snapshot"
+                    .into())
             }
-            if dev.quiesce() == DevicePump::Done {
-                break;
-            }
+            _ => return Err("snapshot field \"eof\" missing or not a bool".into()),
         }
-        if dev.consumed != target {
+
+        // Replay: re-pull exactly the consumed prefix of the seeded stream
+        // through a fresh device, in pulls of at most `mailbox`. The
+        // driver takes input only at its NeedInput boundaries, so the
+        // chunking cannot perturb the rebuilt state.
+        let mut dev = ServedDevice::from_spec(spec);
+        while dev.consumed < target && !dev.is_done() {
+            let left = usize::try_from(target - dev.consumed).unwrap_or(usize::MAX);
+            dev.advance(usize::MAX, left.min(dev.spec.mailbox));
+        }
+        if dev.consumed != target || dev.is_done() {
             return Err(format!(
-                "replay consumed {} accesses, snapshot recorded {target}",
+                "source stream ended at {} accesses but snapshot consumed {target}",
                 dev.consumed
             ));
-        }
-        if eof && !dev.source_eof {
-            // The original had observed end-of-stream; observe it here
-            // too so the rebuilt flag state matches exactly.
-            if dev.ingest(1) != 0 || !dev.source_eof {
-                return Err("snapshot says eof but the rebuilt stream has more accesses".into());
-            }
-            dev.quiesce();
         }
         Ok(dev)
     }
@@ -261,13 +251,6 @@ mod tests {
     }
 
     #[test]
-    fn external_devices_cannot_snapshot() {
-        let spec = crate::DeviceSpec::new(1, AppId::HoK);
-        let mut dev = ServedDevice::external(spec);
-        assert!(dev.snapshot().unwrap_err().contains("externally fed"));
-    }
-
-    #[test]
     fn num_field_admits_only_exact_counts() {
         let doc = |v: &str| planaria_common::json::parse(&format!("{{\"n\": {v}}}")).unwrap();
         assert_eq!(num_field(&doc("0"), "n"), Ok(0));
@@ -284,5 +267,78 @@ mod tests {
         assert!(ServedDevice::restore(&doc, SystemConfig::default())
             .unwrap_err()
             .contains("unsupported snapshot schema"));
+    }
+
+    /// A lean fleet device (`PlanariaLean`, 64 KiB SC) on a 300-access
+    /// session in pulls of 64, snapshotted after `turns` turns.
+    fn lean_snapshot(turns: usize) -> (String, SystemConfig) {
+        let mut spec = crate::DeviceSpec::new(3, AppId::HoK).scaled(300);
+        spec.kind = PrefetcherKind::PlanariaLean;
+        spec.system.cache.size_bytes = 64 * 1024;
+        spec.pool_cap = Some(64);
+        spec.mailbox = 64;
+        let system = spec.system;
+        let mut dev = ServedDevice::from_spec(spec);
+        for _ in 0..turns {
+            dev.pump(usize::MAX);
+        }
+        (dev.snapshot().expect("a live device snapshots"), system)
+    }
+
+    /// Restores `doc` with its `key` member replaced by `value`.
+    fn restore_with(doc: &str, key: &str, value: Value, system: SystemConfig) -> String {
+        let mut parsed = planaria_common::json::parse(doc).expect("snapshots are valid JSON");
+        let Value::Object(members) = &mut parsed else { panic!("a snapshot is an object") };
+        members.iter_mut().find(|(k, _)| k == key).expect("every v1 key is written").1 = value;
+        ServedDevice::restore(&parsed, system).expect_err("the edited snapshot must be rejected")
+    }
+
+    #[test]
+    fn restore_rejects_a_zero_window() {
+        let (doc, system) = lean_snapshot(1);
+        let err = restore_with(&doc, "window", Value::Num(0.0), system);
+        assert!(err.contains("\"window\" must be at least 1"), "{err}");
+    }
+
+    #[test]
+    fn restore_rejects_a_zero_mailbox() {
+        let (doc, system) = lean_snapshot(1);
+        let err = restore_with(&doc, "mailbox", Value::Num(0.0), system);
+        assert!(err.contains("\"mailbox\" must be at least 1"), "{err}");
+    }
+
+    #[test]
+    fn restore_rejects_eof_true() {
+        // Five turns pull the whole stream (the fifth pull is its
+        // 44-access tail), but no pull has come back empty yet.
+        let (doc, system) = lean_snapshot(5);
+        assert!(doc.contains("\"consumed\": 300") && doc.contains("\"eof\": false"), "{doc}");
+        let err = restore_with(&doc, "eof", Value::Bool(true), system);
+        assert!(err.contains("\"eof\" is true"), "{err}");
+    }
+
+    #[test]
+    fn restore_never_panics_on_a_flipped_or_truncated_snapshot() {
+        // Every single-bit flip and every truncation of one document must
+        // restore to `Ok` or `Err`; a panic fails the test. One of the
+        // flips turns `"window": 8` into `"window": 0` (0x38 -> 0x30).
+        let (doc, system) = lean_snapshot(1);
+        let mut outcomes = [0u32; 2]; // [Ok, Err] over documents that parse
+        let mut restore = |bytes: &[u8]| {
+            let text = std::str::from_utf8(bytes).ok();
+            if let Some(v) = text.and_then(|t| planaria_common::json::parse(t).ok()) {
+                outcomes[usize::from(ServedDevice::restore(&v, system).is_err())] += 1;
+            }
+        };
+        let bytes = doc.as_bytes();
+        for i in 0..bytes.len() {
+            restore(&bytes[..i]);
+            for bit in 0..8 {
+                let mut flipped = bytes.to_vec();
+                flipped[i] ^= 1 << bit;
+                restore(&flipped);
+            }
+        }
+        assert!(outcomes[0] > 0 && outcomes[1] > 0, "[Ok, Err] = {outcomes:?}");
     }
 }

@@ -517,7 +517,13 @@ impl MemorySystem {
             self.queue.push(req);
         }
 
-        // Drain staged prefetches into whatever channel room exists.
+        self.issue_staged(now);
+        was_hit
+    }
+
+    /// Drains staged prefetches into whatever channel room exists,
+    /// enqueueing them at `now`.
+    fn issue_staged(&mut self, now: Cycle) {
         while let Some(req) = self.next_issuable() {
             self.dram.try_enqueue(req.addr, false, Priority::Prefetch, now).expect("room checked");
             self.inflight.insert(
@@ -538,7 +544,6 @@ impl MemorySystem {
                 now,
             );
         }
-        was_hit
     }
 
     /// Pops the next prefetch that should actually go to DRAM. Entries that
@@ -688,7 +693,8 @@ impl MemorySystem {
         if let Some(e) = stream.error() {
             panic!("trace stream {name:?} failed after {done} accesses: {e}");
         }
-        self.finish_parts(&name)
+        let (result, dram, telemetry, _) = self.finish_parts_logged(&name);
+        (result, dram, telemetry)
     }
 
     /// Zeroes every accumulated metric while keeping microarchitectural
@@ -729,48 +735,21 @@ impl MemorySystem {
 
     /// Drains all outstanding work and produces the result record.
     pub fn finish(self, workload: &str) -> SimResult {
-        self.finish_parts(workload).0
+        self.finish_parts_logged(workload).0
     }
 
-    pub(crate) fn finish_parts(
-        self,
-        workload: &str,
-    ) -> (SimResult, planaria_dram::DramStats, TelemetryReport) {
-        let (result, dram, telemetry, _) = self.finish_parts_logged(workload);
-        (result, dram, telemetry)
-    }
-
-    /// [`MemorySystem::finish_parts`] plus the retirements logged since the
-    /// last [`MemorySystem::drain_completion_log`] — including those of
-    /// the final drain, which the closed-loop traffic model needs to
-    /// settle its remaining outstanding requests.
+    /// Drains all outstanding work and returns the result record, the
+    /// final DRAM command counters, the merged telemetry, and the
+    /// retirements logged since the last
+    /// [`MemorySystem::drain_completion_log`] — including those of the
+    /// final drain, which the closed-loop traffic model needs to settle
+    /// its remaining outstanding requests.
     pub(crate) fn finish_parts_logged(
         mut self,
         workload: &str,
     ) -> (SimResult, planaria_dram::DramStats, TelemetryReport, Vec<(usize, Cycle)>) {
         // Issue whatever prefetches still fit, then let DRAM finish.
-        while let Some(req) = self.next_issuable() {
-            self.dram
-                .try_enqueue(req.addr, false, Priority::Prefetch, self.last_cycle)
-                .expect("room checked");
-            self.inflight.insert(
-                req.addr.block_number(),
-                Inflight {
-                    origin: Some(req.origin),
-                    waiters: WaiterList::default(),
-                    wrote: false,
-                    device: req.device.index() as u8,
-                },
-            );
-            self.prefetches_issued += 1;
-            self.tel.lifecycle_for(
-                EventKind::PrefetchIssued,
-                req.origin,
-                req.device,
-                req.addr.as_u64(),
-                self.last_cycle,
-            );
-        }
+        self.issue_staged(self.last_cycle);
         let mut buf = std::mem::take(&mut self.completions);
         self.dram.drain(&mut buf);
         for c in buf.drain(..) {

@@ -332,6 +332,41 @@ impl ClosedLoopDriver {
         self.closed = true;
     }
 
+    /// Answers a [`Pump::NeedInput`] from `stream`: pulls at most `max`
+    /// accesses into `chunk` and offers them in order. An empty pull is
+    /// the end of the stream and closes the driver. Returns how many
+    /// accesses were offered.
+    ///
+    /// This is the one feed step of every closed loop: the batch
+    /// [`TrafficModel`] and each `planaria-serve` device refill through it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `max` is zero, if the driver is already closed, or if
+    /// the stream ends with a latched
+    /// [`planaria_trace::io::ParseTraceError`] — a truncated replay must
+    /// not be reported as a short, successful run.
+    pub fn refill(
+        &mut self,
+        stream: &mut dyn AccessStream,
+        max: usize,
+        chunk: &mut Vec<MemAccess>,
+    ) -> usize {
+        assert!(max > 0, "refill needs room for at least one access");
+        assert!(!self.closed, "refill after close");
+        let n = stream.next_chunk(max, chunk);
+        if n == 0 {
+            if let Some(e) = stream.error() {
+                panic!("trace stream {:?} failed after {} accesses: {e}", stream.name(), self.seq);
+            }
+            self.close();
+        }
+        for a in chunk.iter() {
+            self.offer(a);
+        }
+        n
+    }
+
     /// Offered-but-not-yet-injected accesses across all devices.
     pub fn buffered(&self) -> usize {
         self.buffered
@@ -575,22 +610,11 @@ impl TrafficModel {
     ) -> (SimResult, ClosedLoopReport, TelemetryReport) {
         let name = stream.name().to_string();
         let mut driver = ClosedLoopDriver::new(self.cfg);
-        let mut chunk: Vec<MemAccess> = Vec::new();
-        let mut pulled: u64 = 0;
+        let mut chunk = Vec::new();
         loop {
             match driver.pump(&mut sys, usize::MAX) {
                 Pump::NeedInput => {
-                    if stream.next_chunk(PULL_CHUNK, &mut chunk) == 0 {
-                        if let Some(e) = stream.error() {
-                            panic!("trace stream {name:?} failed after {pulled} accesses: {e}");
-                        }
-                        driver.close();
-                    } else {
-                        pulled += chunk.len() as u64;
-                        for a in &chunk {
-                            driver.offer(a);
-                        }
-                    }
+                    driver.refill(stream, PULL_CHUNK, &mut chunk);
                 }
                 Pump::Budget => {}
                 Pump::Drained => break,
@@ -739,19 +763,11 @@ mod tests {
         for (chunk, budget) in [(1usize, 1usize), (7, 3), (4096, usize::MAX)] {
             let mut sys = null_system();
             let mut driver = ClosedLoopDriver::new(TrafficConfig::new(2));
-            let mut next = 0usize;
+            let (mut stream, mut buf) = (trace.stream(), Vec::new());
             loop {
                 match driver.pump(&mut sys, budget) {
                     Pump::NeedInput => {
-                        if next >= trace.len() {
-                            driver.close();
-                        } else {
-                            let end = (next + chunk).min(trace.len());
-                            for a in &trace.accesses()[next..end] {
-                                driver.offer(a);
-                            }
-                            next = end;
-                        }
+                        driver.refill(&mut stream, chunk, &mut buf);
                     }
                     Pump::Budget => {}
                     Pump::Drained => break,

@@ -277,12 +277,6 @@ impl Telemetry {
         }
     }
 
-    /// Whether full event capture is on (drives whether [`Telemetry::emit`]
-    /// materialises payloads).
-    pub fn events_enabled(&self) -> bool {
-        self.events.is_some()
-    }
-
     /// Counts a decision point without materialising a payload.
     #[inline]
     pub fn count(&mut self, kind: EventKind) {
@@ -458,7 +452,7 @@ mod tests {
         let mut tel = Telemetry::from_config(&TelemetryConfig::events_with_capacity(4));
         tel.count(EventKind::TlpLookup);
         tel.reset();
-        assert!(tel.events_enabled());
+        assert!(tel.ring().is_some());
         assert_eq!(tel.counting.count_of(EventKind::TlpLookup), 0);
     }
 }

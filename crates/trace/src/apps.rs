@@ -413,11 +413,6 @@ pub fn profile(app: AppId) -> WorkloadSpec {
         )
 }
 
-/// Builds all ten application specs in Table 2 order.
-pub fn all_profiles() -> Vec<WorkloadSpec> {
-    AppId::ALL.iter().map(|&a| profile(a)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -485,13 +480,5 @@ mod tests {
             let m = mix(app);
             assert!(m.footprint_w > m.neighbor_w, "{} should be SLP-leaning", app.abbr());
         }
-    }
-
-    #[test]
-    fn all_profiles_returns_table_order() {
-        let all = all_profiles();
-        assert_eq!(all.len(), 10);
-        assert_eq!(all[0].abbr, "CFM");
-        assert_eq!(all[9].abbr, "PM");
     }
 }

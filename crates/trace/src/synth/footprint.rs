@@ -65,11 +65,6 @@ impl Default for FootprintSpec {
 }
 
 impl FootprintSpec {
-    /// Expected Figure-4-style overlap rate implied by the parameters.
-    pub fn expected_overlap(&self) -> f64 {
-        1.0 - self.mutation_prob * self.mutation_bits as f64 / self.footprint_blocks as f64
-    }
-
     pub(crate) fn generate(
         &self,
         seed: u64,
@@ -230,17 +225,6 @@ mod tests {
         assert_eq!(fp.count(), 16);
         assert!(before.hamming_distance(fp) > 0);
         assert!(before.hamming_distance(fp) <= 4); // 2 swaps => at most 4 bits
-    }
-
-    #[test]
-    fn expected_overlap_formula() {
-        let spec = FootprintSpec {
-            footprint_blocks: 16,
-            mutation_prob: 0.5,
-            mutation_bits: 2,
-            ..FootprintSpec::default()
-        };
-        assert!((spec.expected_overlap() - 0.9375).abs() < 1e-12);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! continuations, and results are independent of worker count.
 
 use planaria_common::json;
-use planaria_serve::{DeviceSpec, Push, ServeConfig, ServedDevice, Service, SNAPSHOT_SCHEMA};
+use planaria_serve::{DeviceSpec, ServeConfig, ServedDevice, Service, SNAPSHOT_SCHEMA};
 use planaria_sim::{MemorySystem, PrefetcherKind, TrafficConfig, TrafficModel};
 use planaria_trace::apps::AppId;
 
@@ -12,12 +12,11 @@ fn spec(id: u64, app: AppId, length: usize) -> DeviceSpec {
     DeviceSpec::new(id, app).scaled(length)
 }
 
-/// Runs a device to completion the way the service does: ingest a round
-/// quantum, pump a round quantum, repeat.
-fn serve_to_completion(dev: &mut ServedDevice, ingest: usize, pump: usize) {
+/// Runs a device to completion the way the service does: one turn of
+/// `budget` driver iterations at a time.
+fn serve_to_completion(dev: &mut ServedDevice, budget: usize) {
     while !dev.is_done() {
-        dev.ingest(ingest);
-        dev.pump(pump);
+        dev.pump(budget);
     }
 }
 
@@ -30,14 +29,17 @@ fn served_device_matches_batch_closed_loop_bit_identically() {
     let batch = TrafficModel::new(TrafficConfig::new(spec.window))
         .run_stream_telemetry(sys, &mut spec.workload().stream());
 
-    // Served: same accesses through the mailbox in small awkward quanta.
-    let mut dev = ServedDevice::from_spec(spec);
-    serve_to_completion(&mut dev, 37, 113);
-    let served = dev.into_report();
+    // Served: same accesses in small awkward pulls and pump budgets; a
+    // pull of 4 makes nearly every turn end starved.
+    for pull in [4, 37] {
+        let mut dev = ServedDevice::from_spec(DeviceSpec { mailbox: pull, ..spec.clone() });
+        serve_to_completion(&mut dev, 113);
+        let served = dev.into_report();
 
-    assert_eq!(batch.0, served.result, "SimResult must be bit-identical");
-    assert_eq!(batch.1, served.closed_loop, "closed-loop outcomes must be bit-identical");
-    assert_eq!(batch.2, served.telemetry, "telemetry must be bit-identical");
+        assert_eq!(batch.0, served.result, "SimResult must be bit-identical at pull {pull}");
+        assert_eq!(batch.1, served.closed_loop, "closed-loop outcomes differ at pull {pull}");
+        assert_eq!(batch.2, served.telemetry, "telemetry differs at pull {pull}");
+    }
 }
 
 #[test]
@@ -46,13 +48,15 @@ fn snapshot_restore_continues_bit_identically() {
 
     // Reference: an uninterrupted served run.
     let mut uninterrupted = ServedDevice::from_spec(spec.clone());
-    serve_to_completion(&mut uninterrupted, 256, 4_096);
+    serve_to_completion(&mut uninterrupted, 4_096);
     let reference = uninterrupted.into_report();
 
-    // Interrupted: run ~half the session, snapshot, restore, finish.
+    // Interrupted: run six turns (1,536 of 3,000 accesses), snapshot,
+    // restore, finish.
     let mut original = ServedDevice::from_spec(spec.clone());
-    original.ingest(1_500);
-    original.quiesce();
+    for _ in 0..6 {
+        original.pump(usize::MAX);
+    }
     let doc = original.snapshot().expect("mid-session snapshot");
     assert!(doc.contains(SNAPSHOT_SCHEMA));
 
@@ -61,33 +65,45 @@ fn snapshot_restore_continues_bit_identically() {
     assert_eq!(restored.consumed(), original.consumed(), "replay position restored");
     assert_eq!(restored.injected(), original.injected(), "simulated progress restored");
 
-    serve_to_completion(&mut restored, 256, 4_096);
+    serve_to_completion(&mut restored, 4_096);
     let continued = restored.into_report();
     assert_eq!(reference, continued, "restored continuation must be bit-identical");
 
     // The interrupted original, continued in place, agrees too.
-    serve_to_completion(&mut original, 256, 4_096);
+    serve_to_completion(&mut original, 4_096);
     assert_eq!(&reference, original.report().unwrap());
 }
 
 #[test]
-fn snapshot_after_eof_restores_the_eof_state() {
-    let spec = spec(5, AppId::Pm, 500);
+fn snapshot_at_every_turn_restores_bit_identically() {
+    // 500 accesses in pulls of 64: seven full pulls and a partial one of
+    // 52 give eight snapshot points; the ninth turn's empty pull ends the
+    // session.
+    let spec = DeviceSpec { mailbox: 64, ..spec(5, AppId::Pm, 500) };
+    let mut uninterrupted = ServedDevice::from_spec(spec.clone());
+    serve_to_completion(&mut uninterrupted, usize::MAX);
+    let reference = uninterrupted.into_report();
+
     let mut dev = ServedDevice::from_spec(spec.clone());
-    // Consume the whole stream but keep the device unfinished by never
-    // closing: ingest until the source latches eof.
-    while dev.ingest(usize::MAX) > 0 {
-        dev.quiesce();
+    let mut snapshots = Vec::new();
+    while !dev.is_done() {
+        dev.pump(usize::MAX);
+        if !dev.is_done() {
+            snapshots.push((dev.consumed(), dev.snapshot().expect("snapshot between turns")));
+        }
     }
-    dev.quiesce();
-    if dev.is_done() {
-        // Stream ends exactly at a mailbox boundary; nothing to snapshot.
-        return;
+    assert_eq!(reference, dev.into_report(), "snapshotting must not perturb the session");
+    let points: Vec<u64> = snapshots.iter().map(|(consumed, _)| *consumed).collect();
+    assert_eq!(points, [64, 128, 192, 256, 320, 384, 448, 500]);
+
+    for (consumed, doc) in snapshots {
+        assert!(doc.contains("\"eof\": false"), "{doc}");
+        let parsed = json::parse(&doc).expect("snapshot is valid JSON");
+        let mut restored = ServedDevice::restore(&parsed, spec.system).expect("snapshot restores");
+        assert_eq!(restored.consumed(), consumed);
+        serve_to_completion(&mut restored, usize::MAX);
+        assert_eq!(&reference, restored.report().unwrap(), "diverged after {consumed}");
     }
-    let doc = dev.snapshot().expect("eof snapshot");
-    let parsed = json::parse(&doc).unwrap();
-    let restored = ServedDevice::restore(&parsed, spec.system).unwrap();
-    assert_eq!(restored.consumed(), dev.consumed());
 }
 
 #[test]
@@ -117,46 +133,6 @@ fn worker_count_does_not_change_results() {
     );
     assert_eq!(one.devices(), 24);
     assert_eq!(one.total_accesses(), 24 * 600);
-}
-
-#[test]
-fn mailbox_backpressure_never_drops_or_reorders() {
-    let mut spec = spec(0, AppId::TikT, 2_000);
-    spec.mailbox = 4; // aggressively small: constant backpressure
-
-    // Batch reference over the identical access sequence.
-    let workload = spec.workload();
-    let sys = MemorySystem::new(spec.system, spec.kind.build());
-    let batch = TrafficModel::new(TrafficConfig::new(spec.window))
-        .run_stream_telemetry(sys, &mut workload.stream());
-
-    // External producer: push every access, retrying on Full with tiny
-    // pump budgets in between. If backpressure dropped or reordered
-    // anything the final report could not be bit-identical.
-    let trace = workload.build();
-    let mut dev = ServedDevice::external(spec);
-    let mut rejections = 0u64;
-    for &a in trace.accesses() {
-        loop {
-            match dev.try_push(a) {
-                Push::Accepted => break,
-                Push::Full => {
-                    rejections += 1;
-                    dev.pump(16);
-                }
-            }
-        }
-    }
-    dev.close_ingress();
-    while !dev.is_done() {
-        dev.pump(1_024);
-    }
-    let served = dev.into_report();
-
-    assert!(rejections > 0, "mailbox of 4 must actually exert backpressure");
-    assert_eq!(batch.0, served.result);
-    assert_eq!(batch.1, served.closed_loop);
-    assert_eq!(batch.2, served.telemetry);
 }
 
 #[test]
