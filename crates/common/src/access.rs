@@ -81,11 +81,6 @@ impl DeviceId {
         DeviceId::Dsp,
     ];
 
-    /// Returns `true` if the device is a CPU core.
-    pub const fn is_cpu(self) -> bool {
-        matches!(self, DeviceId::Cpu(_))
-    }
-
     /// A dense index in `0..`[`DeviceId::COUNT`]: CPU cores map to their
     /// core number (clamped to 7), then GPU, NPU, ISP, DSP.
     ///
@@ -223,8 +218,6 @@ mod tests {
     fn device_display_and_cpu_check() {
         assert_eq!(DeviceId::Cpu(3).to_string(), "cpu3");
         assert_eq!(DeviceId::Gpu.to_string(), "gpu");
-        assert!(DeviceId::Cpu(0).is_cpu());
-        assert!(!DeviceId::Npu.is_cpu());
     }
 
     #[test]

@@ -40,6 +40,7 @@
 #![deny(clippy::disallowed_types)]
 
 mod planaria;
+mod recency;
 pub mod slp;
 pub mod storage;
 mod tlp;

@@ -21,21 +21,22 @@
 //! Each table is stored struct-of-arrays: a fixed-capacity open-addressed
 //! [`FixedIndex`] maps `page → slot`, and every entry field lives in its
 //! own dense array indexed by slot. The lookups run on every simulated
-//! access, so they must be one hash plus a short flat-array probe; the
-//! victim scans walk only the fields they compare (timestamps and pages)
-//! instead of dragging whole map entries through the cache. Occupied slots
-//! are tracked in a `valid` bitmask whose set bits drive the scans, and a
-//! free list recycles slots, so the dense arrays never reallocate.
+//! access, so they must be one hash plus a short flat-array probe, and a
+//! free list recycles slots, so the dense arrays never reallocate. The FT
+//! and AT evict their least recently touched entry through the
+//! [`Recency`] list TLP's RPT uses too, O(1) per touch while time moves
+//! forward; the PT evicts FIFO and keeps no stamps.
 //!
-//! Any decision that scans the table — victim selection in particular —
+//! Any decision that orders entries — victim selection in particular —
 //! must break ties on the page number so results never depend on slot
 //! assignment or probe order, i.e. on the hasher.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 use planaria_common::{Bitmap16, Cycle};
 use planaria_hash::FixedIndex;
+
+use crate::recency::Recency;
 
 /// How the Pattern History Table reconciles a freshly captured snapshot
 /// with a previously learned pattern for the same page.
@@ -110,17 +111,15 @@ fn checked_offset(offset: usize) -> u8 {
 }
 
 /// Shared slot bookkeeping for the SoA tables: a `page → slot` hash index,
-/// the dense `pages` array it mirrors, a validity bitmask driving scans,
-/// and a free list recycling slots. Field arrays live in the owning table.
-/// Only the tables that evict by recency ([`Self::stamped`]: the FT and
-/// AT) carry last-touch stamps and the eviction heap.
+/// the dense `pages` array it mirrors, and a free list recycling slots.
+/// Field arrays live in the owning table. Only the tables that evict by
+/// recency ([`Self::stamped`]: the FT and AT) carry last-touch stamps and
+/// the recency list.
 #[derive(Debug, Clone)]
 struct SlotMap {
     index: FixedIndex,
-    /// Page number per slot; meaningful only where `valid` is set.
+    /// Page number per slot; meaningful only for live slots.
     pages: Vec<u64>,
-    /// Bit *s* set ⇔ slot *s* holds a live entry.
-    valid: Vec<u64>,
     /// Released slots, reused last-in first-out before any fresh slot.
     free: Vec<u32>,
     /// Slots `fresh..` have never been handed out.
@@ -134,17 +133,13 @@ struct SlotMap {
     /// are safe to memoize because the only insertion path, [`Self::alloc`],
     /// refreshes the memo.
     memo_slot: u32,
-    /// Last-touch stamp per slot, meaningful only where `valid` is set.
-    /// Empty unless built by [`Self::stamped`] (the PT evicts FIFO and
-    /// never stamps).
+    /// Last-touch stamp per slot, meaningful only for live slots. Empty
+    /// unless built by [`Self::stamped`] (the PT evicts FIFO and never
+    /// stamps).
     lasts: Vec<Cycle>,
-    /// Lazy min-heap over `(last, page)` touch snapshots. Every live
-    /// slot's *current* key is present (pushed by [`Self::set_last`]);
-    /// stale snapshots — superseded stamps or released pages — are
-    /// detected against `index`/`lasts` and skipped during
-    /// [`Self::oldest`]. This replaces the old linear victim scan
-    /// (formerly ~9% of the hot profile) with amortised O(log n) work.
-    heap: BinaryHeap<Reverse<(Cycle, u64)>>,
+    /// The live slots in `(last, touch order)` order; victims break stamp
+    /// ties on the page number. Empty unless built by [`Self::stamped`].
+    recency: Recency,
 }
 
 impl SlotMap {
@@ -153,20 +148,19 @@ impl SlotMap {
         Self {
             index: FixedIndex::with_capacity(slots),
             pages: vec![0; slots],
-            valid: vec![0; slots.div_ceil(64)],
             free: Vec::new(),
             fresh: 0,
             memo_page: u64::MAX,
             memo_slot: u32::MAX,
             lasts: Vec::new(),
-            heap: BinaryHeap::new(),
+            recency: Recency::new(0),
         }
     }
 
-    /// A map of `slots` slots that also keeps last-touch stamps for
-    /// [`Self::oldest`].
+    /// A map of `slots` slots that also keeps last-touch stamps and the
+    /// recency list for [`Self::oldest`].
     fn stamped(slots: usize) -> Self {
-        Self { lasts: vec![Cycle::ZERO; slots], ..Self::new(slots) }
+        Self { lasts: vec![Cycle::ZERO; slots], recency: Recency::new(slots), ..Self::new(slots) }
     }
 
     fn len(&self) -> usize {
@@ -184,7 +178,13 @@ impl SlotMap {
         slot.map(|s| s as usize)
     }
 
-    /// Claims a free slot for `page`. The caller must have made room.
+    /// The live slots: the handed-out slots whose page still maps to them.
+    fn live(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.fresh).filter(|&s| self.index.get(self.pages[s]) == Some(s as u32))
+    }
+
+    /// Claims a free slot for `page`. The caller must have made room, and
+    /// a stamped map must [`Self::stamp`] the slot next.
     fn alloc(&mut self, page: u64) -> usize {
         let slot = match self.free.pop() {
             Some(slot) => slot as usize,
@@ -197,7 +197,6 @@ impl SlotMap {
         };
         self.index.insert(page, slot as u32);
         self.pages[slot] = page;
-        self.valid[slot / 64] |= 1 << (slot % 64);
         self.memo_page = page;
         self.memo_slot = slot as u32;
         slot
@@ -206,7 +205,10 @@ impl SlotMap {
     /// Releases `page`'s slot, returning it for field cleanup.
     fn release(&mut self, page: u64) -> Option<usize> {
         let slot = self.index.remove(page)? as usize;
-        self.valid[slot / 64] &= !(1 << (slot % 64));
+        // Only a stamped map (the FT and AT) lists its slots.
+        if !self.lasts.is_empty() {
+            self.recency.unlink(slot);
+        }
         self.free.push(slot as u32);
         if self.memo_page == page {
             self.memo_slot = u32::MAX;
@@ -214,68 +216,32 @@ impl SlotMap {
         Some(slot)
     }
 
-    /// Records `now` as `slot`'s last-touch stamp and logs the new
-    /// `(last, page)` key into the lazy eviction heap. Tables that evict
-    /// by recency must call this on every allocation and touch, or
-    /// [`Self::oldest`] loses sight of the entry.
+    /// Stamps a slot [`Self::alloc`] just handed out with `now` and links
+    /// it into the recency list.
+    #[inline]
+    fn stamp(&mut self, slot: usize, now: Cycle) {
+        self.lasts[slot] = now;
+        self.recency.link(slot, &self.lasts);
+    }
+
+    /// Records `now` as live `slot`'s last-touch stamp.
     #[inline]
     fn set_last(&mut self, slot: usize, now: Cycle) {
         self.lasts[slot] = now;
-        self.heap.push(Reverse((now, self.pages[slot])));
-        // Stale snapshots accumulate between evictions; a rebuild every
-        // >= 3·slots pushes bounds the heap at 4·slots for amortised O(1)
-        // extra work per touch.
-        if self.heap.len() >= (self.pages.len() * 4).max(64) {
-            self.rebuild_heap();
-        }
+        self.recency.touch(slot, &self.lasts);
     }
 
-    /// `slot`'s last-touch stamp (only meaningful under the
-    /// [`Self::set_last`] discipline).
+    /// `slot`'s last-touch stamp.
     #[inline]
     fn last(&self, slot: usize) -> Cycle {
         self.lasts[slot]
     }
 
-    /// Repopulates the heap with exactly the live slots' current keys.
-    fn rebuild_heap(&mut self) {
-        self.heap.clear();
-        for (w, &word) in self.valid.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                let slot = w * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                self.heap.push(Reverse((self.lasts[slot], self.pages[slot])));
-            }
-        }
-    }
-
-    /// The slot minimising `(last, page)` over live slots — the eviction
-    /// total order. Ties on the timestamp break on the page number, never
-    /// on slot assignment (which depends on the hasher).
-    ///
-    /// Pops lazily: a heap snapshot is fresh exactly when its page still
-    /// maps to a slot whose current stamp equals the snapshot — any
-    /// snapshot passing that check *is* the slot's current key, so the
-    /// first fresh pop is the true minimum.
-    fn oldest(&mut self) -> Option<usize> {
-        if self.index.is_empty() {
-            return None;
-        }
-        loop {
-            let Some(&Reverse((last, page))) = self.heap.peek() else {
-                // Unreachable under the set_last discipline (every live
-                // key is present), but rebuild rather than trusting it.
-                self.rebuild_heap();
-                continue;
-            };
-            match self.index.get(page) {
-                Some(slot) if self.lasts[slot as usize] == last => return Some(slot as usize),
-                _ => {
-                    self.heap.pop();
-                }
-            }
-        }
+    /// The eviction victim: the live slot minimising `(last, page)`. Ties
+    /// on the timestamp break on the page number, never on slot
+    /// assignment (which depends on the hasher).
+    fn oldest(&self) -> Option<usize> {
+        (self.len() > 0).then(|| self.recency.victim(&self.lasts, self.live(), |s| self.pages[s]))
     }
 }
 
@@ -344,7 +310,7 @@ impl FilterTable {
                 let slot = self.slots.alloc(page);
                 self.offsets[slot][0] = offset;
                 self.counts[slot] = 1;
-                self.slots.set_last(slot, now);
+                self.slots.stamp(slot, now);
                 self.expiry.push_back((page, now));
                 FtOutcome::Allocated
             }
@@ -456,7 +422,7 @@ impl AccumulationTable {
         }
         let slot = self.slots.alloc(page);
         self.bitmaps[slot] = bitmap;
-        self.slots.set_last(slot, now);
+        self.slots.stamp(slot, now);
         self.expiry.push_back((page, now));
         spilled
     }
@@ -574,31 +540,13 @@ mod tests {
     use proptest::prelude::*;
 
     use super::*;
-
-    /// The pre-heap victim selection, verbatim: a full scan of the valid
-    /// mask minimising `(last, page)`. Kept as the reference the lazy
-    /// heap is proven against.
-    fn oldest_linear(sm: &SlotMap) -> Option<usize> {
-        let mut best: Option<(Cycle, u64, usize)> = None;
-        for (w, &word) in sm.valid.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                let slot = w * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let key = (sm.lasts[slot], sm.pages[slot]);
-                if best.is_none_or(|(l, p, _)| key < (l, p)) {
-                    best = Some((key.0, key.1, slot));
-                }
-            }
-        }
-        best.map(|(_, _, slot)| slot)
-    }
+    use crate::recency::lru_scan;
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// The SoA slot engine (open-addressed index + dense arrays +
-        /// validity mask + memo) against the obvious reference: an ordered
+        /// recency list + memo) against the obvious reference: an ordered
         /// map from page to last-touch cycle. Membership, occupancy, and —
         /// crucially — the `(last, page)` eviction total order must agree
         /// after every operation, whatever the touch/release interleaving.
@@ -634,7 +582,7 @@ mod tests {
                         model.remove(&victim_page);
                     }
                     let slot = sm.alloc(page);
-                    sm.set_last(slot, now);
+                    sm.stamp(slot, now);
                     model.insert(page, now);
                 }
                 prop_assert_eq!(sm.len(), model.len());
@@ -647,21 +595,21 @@ mod tests {
             }
         }
 
-        /// The lazy-heap victim selection against the retired linear scan
-        /// it replaced: after every operation — touches, releases,
-        /// capacity evictions, deliberately colliding stamps — both must
-        /// name the same `(last, page)`-minimal slot. This is the proof
-        /// that swapping the scan for the heap changed no output anywhere.
+        /// The recency list against the linear scan: after every
+        /// operation — touches, releases, capacity evictions — the victim
+        /// is the scan's `(last, page)`-minimal live slot, and the list
+        /// holds exactly the live slots in non-decreasing stamp order.
+        /// Stamps come from a small range, as in TLP's property tests, so
+        /// they tie (the page tie-break) and run backwards (the walk back
+        /// from the tail).
         #[test]
-        fn heap_victim_matches_linear_scan(
-            ops in proptest::collection::vec((0u64..32, any::<bool>()), 1..500),
+        fn recency_victim_matches_linear_scan(
+            ops in proptest::collection::vec((0u64..32, any::<bool>(), 0u64..8), 1..500),
         ) {
             const CAP: usize = 8;
             let mut sm = SlotMap::stamped(CAP);
-            for (i, &(page, release)) in ops.iter().enumerate() {
-                // Divided stamps collide on purpose: the page tiebreak is
-                // where a subtly wrong heap order would surface.
-                let now = Cycle::new((i as u64 + 1) / 3);
+            for &(page, release, stamp) in &ops {
+                let now = Cycle::new(stamp * 10);
                 if release {
                     sm.release(page);
                 } else if let Some(slot) = sm.get(page) {
@@ -669,14 +617,21 @@ mod tests {
                 } else {
                     if sm.len() >= CAP {
                         let victim = sm.oldest().expect("full table has a victim");
-                        prop_assert_eq!(Some(victim), oldest_linear(&sm), "eviction victim");
                         sm.release(sm.pages[victim]);
                     }
                     let slot = sm.alloc(page);
-                    sm.set_last(slot, now);
+                    sm.stamp(slot, now);
                 }
-                let heap_pick = sm.oldest();
-                prop_assert_eq!(heap_pick, oldest_linear(&sm), "victim choice diverged");
+                let live: Vec<usize> = sm.live().collect();
+                let scan = lru_scan(live.iter().copied(), &sm.lasts, |s| sm.pages[s]);
+                prop_assert_eq!(sm.oldest(), scan, "victim diverged from the linear scan");
+                let mut order = sm.recency.order();
+                prop_assert!(
+                    order.windows(2).all(|w| sm.lasts[w[0]] <= sm.lasts[w[1]]),
+                    "recency list out of stamp order"
+                );
+                order.sort_unstable();
+                prop_assert_eq!(order, live, "the list holds other slots than the live ones");
             }
         }
 

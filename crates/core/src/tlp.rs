@@ -12,6 +12,10 @@
 //! blocks this page has already touched (at least
 //! [`TlpConfig::min_common_bits`], the paper example's "four same bits"),
 //! and prefetches the neighbour's remaining blocks on this page.
+//!
+//! A full RPT evicts its least recently touched entry, found at the head
+//! of the recency list SLP's Filter and Accumulation Tables use too
+//! (`crate::recency`); stamp ties break on the slot.
 
 use planaria_common::{
     Bitmap16, Cycle, MemAccess, PageNum, PhysAddr, PrefetchOrigin, PrefetchRequest, SegmentIndex,
@@ -21,6 +25,7 @@ use planaria_telemetry::{
     EventData, EventKind, Telemetry, TelemetryConfig, TelemetryReport, TransferReject,
 };
 
+use crate::recency::Recency;
 use crate::traits::Prefetcher;
 
 /// TLP sizing parameters (per channel).
@@ -55,8 +60,10 @@ impl Default for TlpConfig {
 /// - `by_page`, every `(page, slot)` sorted by page. The associative page
 ///   lookup runs on every access and is a binary search behind a
 ///   one-entry memo.
-/// - `recency`, an exact LRU list, so allocation finds its victim at the
-///   list head instead of scanning every timestamp.
+/// - `recency`, the exact LRU list SLP's FT and AT share
+///   ([`Recency`]), so allocation finds its victim at the list head
+///   instead of scanning every timestamp. Stamp ties break on the slot,
+///   as the paper's first-minimum scan does.
 ///
 /// The paper's per-entry Ref bits are not materialised. The Ref matrix is
 /// symmetric and fully determined by the live page numbers (`bit (i, j)` ⇔
@@ -146,8 +153,7 @@ impl ChannelTlp {
             self.by_page.insert(at, (page, filled as u32));
             (filled, at, false)
         } else {
-            let v = self.recency.victim(&self.lasts);
-            debug_assert_eq!(v, lru_scan(&self.lasts), "recency list diverged from the LRU scan");
+            let v = self.recency.victim(&self.lasts, 0..self.lasts.len(), |s| s);
             self.recency.unlink(v);
             // Slide the victim's sorted entry to the newcomer's position:
             // one shift of the entries in between, instead of a removal
@@ -178,7 +184,7 @@ impl ChannelTlp {
         self.pages[victim] = page;
         self.bitmaps[victim] = Bitmap16::EMPTY.with(offset);
         self.lasts[victim] = now;
-        self.recency.insert(victim, &self.lasts);
+        self.recency.link(victim, &self.lasts);
     }
 
     /// The Ref row of the entry at `by_page[at]`, derived from the live
@@ -290,99 +296,6 @@ impl ChannelTlp {
     }
 }
 
-/// Sentinel for "no slot" in [`Recency`]'s links (slots are `0..128`).
-const NIL: u8 = u8::MAX;
-
-/// The RPT's exact recency order: a doubly-linked list over the occupied
-/// slots sorted by `(last, touch order)`, least recent at the head. Time
-/// almost always moves forward, so a touch or an allocation appends at
-/// the tail in O(1); a stamp earlier than the tail's walks back to its
-/// sorted position. The slots sharing the head's stamp form the head's
-/// run, and the LRU victim is the lowest slot among them — the same
-/// first-minimum pick as a linear scan of the timestamps in slot order.
-#[derive(Debug, Clone)]
-struct Recency {
-    prev: Vec<u8>,
-    next: Vec<u8>,
-    head: u8,
-    tail: u8,
-}
-
-impl Recency {
-    fn new(slots: usize) -> Self {
-        Self { prev: vec![NIL; slots], next: vec![NIL; slots], head: NIL, tail: NIL }
-    }
-
-    /// Removes occupied slot `i` from the list.
-    fn unlink(&mut self, i: usize) {
-        let (p, n) = (self.prev[i], self.next[i]);
-        match p {
-            NIL => self.head = n,
-            p => self.next[p as usize] = n,
-        }
-        match n {
-            NIL => self.tail = p,
-            n => self.prev[n as usize] = p,
-        }
-    }
-
-    /// Links unlisted slot `i` in after every slot whose stamp is at most
-    /// `lasts[i]`, walking back from the tail.
-    fn insert(&mut self, i: usize, lasts: &[Cycle]) {
-        let mut p = self.tail;
-        while p != NIL && lasts[p as usize] > lasts[i] {
-            p = self.prev[p as usize];
-        }
-        let n = match p {
-            NIL => std::mem::replace(&mut self.head, i as u8),
-            p => std::mem::replace(&mut self.next[p as usize], i as u8),
-        };
-        match n {
-            NIL => self.tail = i as u8,
-            n => self.prev[n as usize] = i as u8,
-        }
-        (self.prev[i], self.next[i]) = (p, n);
-    }
-
-    /// Moves slot `i` to its place after its stamp `lasts[i]` changed.
-    /// Page bursts re-touch the tail, which stays put unless its new stamp
-    /// went below its predecessor's.
-    #[inline]
-    fn touch(&mut self, i: usize, lasts: &[Cycle]) {
-        let p = self.prev[i];
-        if i == self.tail as usize && (p == NIL || lasts[p as usize] <= lasts[i]) {
-            return;
-        }
-        self.unlink(i);
-        self.insert(i, lasts);
-    }
-
-    /// The LRU victim: the lowest slot in the head's run of equal stamps.
-    fn victim(&self, lasts: &[Cycle]) -> usize {
-        let oldest = lasts[self.head as usize];
-        let mut victim = self.head;
-        let mut j = self.next[self.head as usize];
-        while j != NIL && lasts[j as usize] == oldest {
-            victim = victim.min(j);
-            j = self.next[j as usize];
-        }
-        victim as usize
-    }
-}
-
-/// The linear first-minimum LRU scan the recency list replaced, kept as
-/// the debug-build oracle for [`Recency::victim`]: the earliest slot among
-/// the minimal timestamps.
-fn lru_scan(lasts: &[Cycle]) -> usize {
-    let mut v = 0;
-    for (i, &t) in lasts.iter().enumerate() {
-        if t < lasts[v] {
-            v = i;
-        }
-    }
-    v
-}
-
 /// The standalone four-channel TLP prefetcher (Figure 9's "TLP-only").
 #[derive(Debug, Clone)]
 pub struct Tlp {
@@ -464,6 +377,7 @@ mod tests {
     use proptest::prelude::*;
 
     use super::*;
+    use crate::recency::lru_scan;
     use planaria_common::BlockIndex;
 
     /// Naive Ref row: the paper's pairwise predicate, slot by slot.
@@ -487,24 +401,6 @@ mod tests {
     fn row_of(ch: &mut ChannelTlp, slot: usize) -> u128 {
         let at = ch.find(ch.pages[slot]).expect("an occupied slot is indexed");
         ch.ref_row(at)
-    }
-
-    /// The recency list walked head to tail, checked against the walk
-    /// tail to head.
-    fn recency_order(r: &Recency) -> Vec<usize> {
-        let walk = |mut j: u8, links: &[u8]| {
-            let mut order = Vec::new();
-            while j != NIL {
-                order.push(j as usize);
-                j = links[j as usize];
-            }
-            order
-        };
-        let forward = walk(r.head, &r.next);
-        let mut backward = walk(r.tail, &r.prev);
-        backward.reverse();
-        assert_eq!(forward, backward, "prev and next links disagree");
-        forward
     }
 
     /// Distance thresholds the property tests draw from: none, adjacent
@@ -631,12 +527,16 @@ mod tests {
             for &(page, stamp) in &steps {
                 ch.learn(page, 0, Cycle::new(stamp * 10), &mut tel);
                 let lasts = &ch.lasts[..ch.occupancy()];
-                let mut order = recency_order(&ch.recency);
+                let mut order = ch.recency.order();
                 prop_assert!(
                     order.windows(2).all(|w| lasts[w[0]] <= lasts[w[1]]),
                     "recency list out of stamp order"
                 );
-                prop_assert_eq!(ch.recency.victim(lasts), lru_scan(lasts), "victim diverged");
+                prop_assert_eq!(
+                    Some(ch.recency.victim(lasts, 0..lasts.len(), |s| s)),
+                    lru_scan(0..lasts.len(), lasts, |s| s),
+                    "victim diverged"
+                );
                 order.sort_unstable();
                 prop_assert_eq!(order, (0..lasts.len()).collect::<Vec<_>>(), "list lost a slot");
             }

@@ -1,6 +1,6 @@
 //! DRAM configuration: geometry, timing and address mapping.
 
-use planaria_common::{PhysAddr, BLOCKS_PER_SEGMENT, BLOCK_SIZE, NUM_CHANNELS};
+use planaria_common::{PhysAddr, BLOCKS_PER_SEGMENT, NUM_CHANNELS};
 
 /// Inter-command timing constraints, in memory-controller cycles.
 ///
@@ -63,21 +63,6 @@ impl Timing {
     /// Data-transfer time of one 64 B burst on the DDR bus.
     pub const fn t_burst(&self) -> u64 {
         self.burst_length / 2
-    }
-
-    /// Idealised row-hit read latency (`tCL + tBURST`).
-    pub const fn row_hit_latency(&self) -> u64 {
-        self.t_cl + self.t_burst()
-    }
-
-    /// Idealised row-miss (closed-bank) read latency (`tRCD + tCL + tBURST`).
-    pub const fn row_closed_latency(&self) -> u64 {
-        self.t_rcd + self.t_cl + self.t_burst()
-    }
-
-    /// Idealised row-conflict read latency (`tRP + tRCD + tCL + tBURST`).
-    pub const fn row_conflict_latency(&self) -> u64 {
-        self.t_rp + self.t_rcd + self.t_cl + self.t_burst()
     }
 }
 
@@ -232,11 +217,6 @@ impl DramConfig {
         self
     }
 
-    /// Bytes per row (for documentation/reporting).
-    pub const fn row_bytes(&self) -> u64 {
-        self.map.blocks_per_row * BLOCK_SIZE
-    }
-
     /// Checks the values a controller cannot run with: a channel count
     /// other than the static page-segment mapping's, an empty queue or
     /// geometry, and a refresh interval with no room between refreshes
@@ -299,7 +279,7 @@ impl Default for DramConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use planaria_common::PAGE_SIZE;
+    use planaria_common::{BLOCK_SIZE, PAGE_SIZE};
 
     #[test]
     fn table1_values() {
@@ -311,13 +291,6 @@ mod tests {
         assert_eq!(t.t_faw, 48);
         assert_eq!(t.burst_length, 16);
         assert_eq!(t.t_burst(), 8);
-    }
-
-    #[test]
-    fn latency_helpers_are_ordered() {
-        let t = Timing::lpddr4();
-        assert!(t.row_hit_latency() < t.row_closed_latency());
-        assert!(t.row_closed_latency() < t.row_conflict_latency());
     }
 
     #[test]
@@ -362,7 +335,6 @@ mod tests {
         let c = DramConfig::lpddr4();
         assert_eq!(c.channels, 4);
         assert_eq!(c.queue_depth, 64);
-        assert_eq!(c.row_bytes(), 2048);
         assert!(!c.record_log);
         assert!(c.with_log().record_log);
         assert_eq!(c.scheduler, SchedulerKind::FrFcfs);

@@ -176,6 +176,12 @@ mod tests {
         MemoryController::new(DramConfig::lpddr4().with_log())
     }
 
+    /// A read to a closed bank with nothing in its way:
+    /// `tRCD + tCL + tBURST`.
+    fn closed_bank_read(t: &Timing) -> u64 {
+        t.t_rcd + t.t_cl + t.t_burst()
+    }
+
     #[test]
     fn single_read_latency_is_closed_bank() {
         let t = Timing::lpddr4();
@@ -185,7 +191,7 @@ mod tests {
         assert_eq!(done.len(), 1);
         // Cold bank: ACT at 0 is gated only by the command bus, then
         // RD at tRCD, data at +tCL+tBURST.
-        assert_eq!(done[0].finish.as_u64(), t.row_closed_latency());
+        assert_eq!(done[0].finish.as_u64(), closed_bank_read(&t));
     }
 
     #[test]
@@ -261,7 +267,7 @@ mod tests {
         mc.try_enqueue(PhysAddr::new(0), false, Priority::Demand, Cycle::ZERO).expect("room");
         assert!(mc.advance_collect(Cycle::new(1)).is_empty(), "data cannot be ready yet");
         let t = Timing::lpddr4();
-        let done = mc.advance_collect(Cycle::new(t.row_closed_latency() + 10));
+        let done = mc.advance_collect(Cycle::new(closed_bank_read(&t) + 10));
         assert_eq!(done.len(), 1);
     }
 
@@ -351,7 +357,7 @@ mod tests {
         // The wake adds tXP before the first command.
         assert_eq!(
             done[0].finish.as_u64(),
-            5000 + t.t_xp + t.row_closed_latency(),
+            5000 + t.t_xp + closed_bank_read(&t),
             "wake-up penalty missing"
         );
         let s = mc.stats();
@@ -369,7 +375,7 @@ mod tests {
         mc.try_enqueue(PhysAddr::new(0), false, Priority::Demand, now).expect("room");
         let done = mc.drain_collect();
         let t = Timing::lpddr4();
-        assert_eq!(done[0].finish.as_u64(), 5000 + t.row_closed_latency());
+        assert_eq!(done[0].finish.as_u64(), 5000 + closed_bank_read(&t));
         assert_eq!(mc.stats().powerdown_cycles, 0);
     }
 

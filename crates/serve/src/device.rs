@@ -12,6 +12,11 @@ use planaria_trace::{ComponentSpec, WorkloadSpec};
 
 use crate::shard::mix64;
 
+/// The most accesses one pull may take: the largest chunk frame a
+/// `planaria-trace-v1` file may declare. A pull reserves room for all of
+/// them before it renders any.
+pub(crate) const MAX_MAILBOX: usize = planaria_trace::io::MAX_CHUNK_RECORDS as usize;
+
 /// Identity and sizing of one served device session.
 ///
 /// A spec is everything needed to (re)create the device deterministically:
@@ -36,8 +41,9 @@ pub struct DeviceSpec {
     /// Closed-loop outstanding-request window per requestor.
     pub window: usize,
     /// Accesses pulled per turn: the most one [`ServedDevice::pump`]
-    /// call takes from the device's stream (at least 1). The name is the
-    /// v1 snapshot key.
+    /// call takes from the device's stream (at least 1, at most
+    /// [`MAX_CHUNK_RECORDS`](planaria_trace::io::MAX_CHUNK_RECORDS)). The
+    /// name is the v1 snapshot key.
     pub mailbox: usize,
     /// Cap on any footprint component's revisited page pool in the
     /// derived workload. The Table 2 profiles size their pools (6–10k
@@ -183,9 +189,15 @@ impl ServedDevice {
     ///
     /// # Panics
     ///
-    /// Panics if `spec.window` or `spec.mailbox` is zero.
+    /// Panics if `spec.window` or `spec.mailbox` is zero, or
+    /// `spec.mailbox` is above
+    /// [`MAX_CHUNK_RECORDS`](planaria_trace::io::MAX_CHUNK_RECORDS).
     pub fn from_spec(spec: DeviceSpec) -> Self {
-        assert!(spec.mailbox > 0, "mailbox (accesses pulled per turn) must be at least 1");
+        assert!(
+            (1..=MAX_MAILBOX).contains(&spec.mailbox),
+            "mailbox (accesses pulled per turn) must be in 1..={MAX_MAILBOX}, not {}",
+            spec.mailbox
+        );
         let sys = MemorySystem::new(spec.system, spec.kind.build());
         let driver = ClosedLoopDriver::new(TrafficConfig::new(spec.window));
         Self {

@@ -21,7 +21,7 @@ use planaria_common::json::{Value, Writer};
 use planaria_sim::{PrefetcherKind, SystemConfig};
 use planaria_trace::apps::AppId;
 
-use crate::device::{DevicePump, ServedDevice};
+use crate::device::{DevicePump, ServedDevice, MAX_MAILBOX};
 
 /// The schema tag every snapshot document carries.
 pub const SNAPSHOT_SCHEMA: &str = "planaria-serve-snapshot-v1";
@@ -81,6 +81,17 @@ fn u64_string_field(doc: &Value, key: &str) -> Result<u64, String> {
 fn positive_field(doc: &Value, key: &str) -> Result<usize, String> {
     match usize_field(doc, key)? {
         0 => Err(format!("snapshot field {key:?} must be at least 1")),
+        v => Ok(v),
+    }
+}
+
+/// Reads `mailbox`: at least 1 and at most [`MAX_MAILBOX`], since a
+/// device reserves room for a whole pull before it renders one.
+fn mailbox_field(doc: &Value) -> Result<usize, String> {
+    match positive_field(doc, "mailbox")? {
+        v if v > MAX_MAILBOX => {
+            Err(format!("snapshot field \"mailbox\" is {v}, above the largest pull {MAX_MAILBOX}"))
+        }
         v => Ok(v),
     }
 }
@@ -174,9 +185,10 @@ impl ServedDevice {
     /// # Errors
     ///
     /// Fails on a wrong/missing schema tag, missing or ill-typed fields,
-    /// a zero `window` or `mailbox`, unknown app/prefetcher labels,
-    /// `"eof": true`, or a source stream shorter than the recorded
-    /// `consumed` position.
+    /// a zero `window` or `mailbox`, a `mailbox` above
+    /// [`MAX_CHUNK_RECORDS`](planaria_trace::io::MAX_CHUNK_RECORDS),
+    /// unknown app/prefetcher labels, `"eof": true`, or a source stream
+    /// shorter than the recorded `consumed` position.
     pub fn restore(doc: &Value, system: SystemConfig) -> Result<ServedDevice, String> {
         let schema = str_field(doc, "schema")?;
         if schema != SNAPSHOT_SCHEMA {
@@ -191,7 +203,7 @@ impl ServedDevice {
             length: usize_field(doc, "length")?,
             seed: u64_string_field(doc, "seed")?,
             window: positive_field(doc, "window")?,
-            mailbox: positive_field(doc, "mailbox")?,
+            mailbox: mailbox_field(doc)?,
             pool_cap: match doc.get("pool_cap") {
                 Some(Value::Null) => None,
                 Some(_) => Some(usize_field(doc, "pool_cap")?),
@@ -305,6 +317,22 @@ mod tests {
         let (doc, system) = lean_snapshot(1);
         let err = restore_with(&doc, "mailbox", Value::Num(0.0), system);
         assert!(err.contains("\"mailbox\" must be at least 1"), "{err}");
+    }
+
+    #[test]
+    fn restore_rejects_an_oversized_mailbox() {
+        // Restore replays in pulls of `mailbox`, and each pull reserves
+        // room for that many accesses before rendering them.
+        let (doc, system) = lean_snapshot(1);
+        let over = Value::Num((MAX_MAILBOX + 1) as f64);
+        let err = restore_with(&doc, "mailbox", over, system);
+        assert!(err.contains("\"mailbox\" is 1048577, above the largest pull 1048576"), "{err}");
+        let mut parsed = planaria_common::json::parse(&doc).expect("snapshots are valid JSON");
+        let Value::Object(members) = &mut parsed else { panic!("a snapshot is an object") };
+        members.iter_mut().find(|(k, _)| k == "mailbox").expect("v1 writes mailbox").1 =
+            Value::Num(MAX_MAILBOX as f64);
+        let dev = ServedDevice::restore(&parsed, system).expect("the bound itself restores");
+        assert_eq!(dev.consumed(), 64);
     }
 
     #[test]

@@ -163,7 +163,6 @@ pub struct MemorySystem {
     latency_sum: f64,
     demand_count: u64,
     late_prefetches: u64,
-    prefetches_issued: u64,
     prefetches_filtered: u64,
     writebacks_dropped: u64,
     /// Demand latency accumulated per device (always integer-valued, so
@@ -213,7 +212,6 @@ impl MemorySystem {
             latency_sum: 0.0,
             demand_count: 0,
             late_prefetches: 0,
-            prefetches_issued: 0,
             prefetches_filtered: 0,
             writebacks_dropped: 0,
             device_lat: [0.0; DeviceId::COUNT],
@@ -535,7 +533,6 @@ impl MemorySystem {
                     device: req.device.index() as u8,
                 },
             );
-            self.prefetches_issued += 1;
             self.tel.lifecycle_for(
                 EventKind::PrefetchIssued,
                 req.origin,
@@ -721,7 +718,6 @@ impl MemorySystem {
         self.latency_sum = 0.0;
         self.demand_count = 0;
         self.late_prefetches = 0;
-        self.prefetches_issued = 0;
         self.prefetches_filtered = 0;
         self.writebacks_dropped = 0;
         self.device_lat = [0.0; DeviceId::COUNT];
@@ -780,9 +776,7 @@ impl MemorySystem {
             .max(1);
         // The DRAM channels split `n_rd` by request priority at command
         // execution, so the breakdown is exact even when requests straddle
-        // a warmup stats reset (the old derivation subtracted
-        // `prefetches_issued`, which counts *enqueues* — a clamped,
-        // sometimes double-subtracting approximation).
+        // a warmup stats reset.
         debug_assert_eq!(dram.n_rd, dram.n_rd_demand + dram.n_rd_prefetch);
         let demand_reads = dram.n_rd_demand;
         let dram_energy = self.dram.energy_pj(duration);
