@@ -12,6 +12,26 @@ cd "$(dirname "$0")"
 
 step() { printf '\n==> %s\n' "$*"; }
 
+# Negative control for a bin's --check gate, run after the gate passed on
+# DOC: two broken copies, DOC cut to its first 64 bytes and DOC with its
+# SCHEMA string renamed, must each exit 1, which proves the gate can fail.
+check_rejects_broken() {
+    local bin=$1 doc=$2 schema=$3
+    head -c 64 "$doc" > "$doc.truncated"
+    sed "s/$schema/$schema-renamed/g" "$doc" > "$doc.renamed"
+    for broken in "$doc.truncated" "$doc.renamed"; do
+        status=0
+        cargo run --release -q -p planaria-bench --bin "$bin" -- --check "$broken" \
+            > /dev/null 2>&1 || status=$?
+        if [[ "$status" -ne 1 ]]; then
+            echo "$bin --check negative control failed: $broken exited $status, want 1"
+            exit 1
+        fi
+    done
+    rm -f "$doc.truncated" "$doc.renamed"
+    echo "$bin --check: a truncated and a schema-renamed copy both exit 1"
+}
+
 if [[ "${1:-}" != "fast" ]]; then
     step "cargo build --release"
     cargo build --release --workspace
@@ -76,6 +96,7 @@ if [[ "${1:-}" != "fast" ]]; then
     cargo run --release -q -p planaria-bench --bin contention -- \
         --len 4000 --apps hok --windows 2,8 --out target/contention_ci.json
     cargo run --release -q -p planaria-bench --bin contention -- --check target/contention_ci.json
+    check_rejects_broken contention target/contention_ci.json planaria-contention-v1
 
     step "serve load (100k concurrent device sessions through planaria-serve)"
     # The service-layer scale gate: every session is a live snapshottable
@@ -87,6 +108,7 @@ if [[ "${1:-}" != "fast" ]]; then
     cargo run --release -q -p planaria-bench --bin serve_load -- \
         --devices "$devices" --len 40 --out target/serve_load_ci.json
     cargo run --release -q -p planaria-bench --bin serve_load -- --check target/serve_load_ci.json
+    check_rejects_broken serve_load target/serve_load_ci.json planaria-serve-v1
     rss=$(grep -oE '"peak_rss_kb": [0-9]+' target/serve_load_ci.json | grep -oE '[0-9]+$' || true)
     if [[ -z "$rss" || "$rss" -gt $((100 * devices)) ]]; then
         echo "serve load: peak RSS ${rss:-unknown} KiB exceeds 100 KiB x $devices devices"
@@ -106,6 +128,7 @@ if [[ "${1:-}" != "fast" ]]; then
     cargo run --release -q -p planaria-bench --bin replay -- \
         --trace target/ci_hok10m.ptrace --out target/ci_stream.json
     cargo run --release -q -p planaria-bench --bin replay -- --check target/ci_stream.json
+    check_rejects_broken replay target/ci_stream.json planaria-perf-stream-v1
     rm -f target/ci_hok10m.ptrace
     hwm=$(grep -oE '"vm_hwm_kb": [0-9]+' target/ci_stream.json | grep -oE '[0-9]+$' || true)
     if [[ -z "$hwm" || "$hwm" -ge 65536 ]]; then

@@ -80,7 +80,7 @@ fn main() {
             }
             "--check" => {
                 let path = cli::value_of("--check", args.next()).unwrap_or_else(|e| fail(e));
-                check(&path);
+                cli::check_file(&path, check_doc);
                 return;
             }
             "--help" | "-h" => {
@@ -98,18 +98,7 @@ fn main() {
         windows.len()
     );
 
-    // Per app: one open-loop reference cell, then one closed-loop cell per
-    // window. Cells are independent, so the parallel runner fans them out.
-    let jobs: Vec<Job> = apps
-        .iter()
-        .flat_map(|&app| {
-            std::iter::once(Job::grid_cell(app, kind, len)).chain(
-                windows
-                    .iter()
-                    .map(move |&w| Job::grid_cell(app, kind, len).traffic(TrafficConfig::new(w))),
-            )
-        })
-        .collect();
+    let jobs = jobs(kind, &apps, &windows, len);
     let runner = match threads {
         Some(n) => Runner::new(n),
         None => Runner::auto(),
@@ -149,21 +138,34 @@ fn main() {
     eprintln!("wrote {out_path}");
 }
 
-/// Validates a previously written file; exits non-zero on bad JSON.
-fn check(path: &str) {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("--check: cannot read {path}: {e}");
-        std::process::exit(1);
-    });
-    if let Err(e) = json::validate(&text) {
-        eprintln!("{path}: malformed JSON: {e}");
-        std::process::exit(1);
-    }
-    if !text.contains("\"schema\": \"planaria-contention-v1\"") {
-        eprintln!("{path}: missing planaria-contention-v1 schema marker");
-        std::process::exit(1);
-    }
-    println!("{path}: well-formed planaria-contention-v1 JSON");
+/// The sweep's cells: per app, one open-loop reference cell, then one
+/// closed-loop cell per window. Cells are independent, so the parallel
+/// runner fans them out.
+fn jobs(kind: PrefetcherKind, apps: &[AppId], windows: &[usize], len: usize) -> Vec<Job> {
+    apps.iter()
+        .flat_map(|&app| {
+            std::iter::once(Job::grid_cell(app, kind, len)).chain(
+                windows
+                    .iter()
+                    .map(move |&w| Job::grid_cell(app, kind, len).traffic(TrafficConfig::new(w))),
+            )
+        })
+        .collect()
+}
+
+/// The `--check` predicate: the document must be well-formed JSON whose
+/// top-level `schema` is `planaria-contention-v1`, with `windows` and
+/// `apps` arrays.
+fn check_doc(text: &str) -> Result<String, String> {
+    let doc = cli::parse_schema(text, "planaria-contention-v1")?;
+    let array =
+        |key: &str| doc.get(key).and_then(|v| v.as_array()).ok_or(format!("missing {key:?} array"));
+    let (windows, apps) = (array("windows")?, array("apps")?);
+    Ok(format!(
+        "well-formed planaria-contention-v1 JSON ({} apps x {} windows)",
+        apps.len(),
+        windows.len()
+    ))
 }
 
 /// Renders the sweep document (fixed key order, so diffs are clean).
@@ -230,4 +232,35 @@ fn render(len: usize, windows: &[usize], rows: &[(&AppId, &[Cell])]) -> String {
     w.end_array();
     w.end_object();
     w.finish()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn check_requires_the_top_level_schema() {
+        let nested =
+            r#"{"schema": "planaria-serve-v1", "apps": [{"schema": "planaria-contention-v1"}]}"#;
+        assert!(check_doc(nested).expect_err("nested schema").contains("unexpected schema"));
+        let no_arrays = r#"{"schema": "planaria-contention-v1", "windows": 2}"#;
+        assert!(check_doc(no_arrays).expect_err("windows not an array").contains("windows"));
+    }
+
+    #[test]
+    fn check_accepts_a_compact_document() {
+        let compact =
+            r#"{"schema":"planaria-contention-v1","len_per_app":400,"windows":[2],"apps":[]}"#;
+        let summary = check_doc(compact).expect("a compact document is well-formed");
+        assert!(summary.contains("0 apps x 1 windows"), "{summary}");
+    }
+
+    #[test]
+    fn check_survives_every_bit_flip_and_truncation() {
+        let (app, windows, len) = (AppId::HoK, [2], 400);
+        let report = Runner::new(1).run(jobs(PrefetcherKind::Planaria, &[app], &windows, len));
+        let doc = render(len, &windows, &[(&app, &report.cells[..])]);
+        let rejected = cli::sweep_mutants(&doc, check_doc).expect("sweep");
+        assert!(rejected > 0, "no bit flip was rejected");
+    }
 }

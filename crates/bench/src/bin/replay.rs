@@ -67,7 +67,7 @@ fn main() {
             "--out" => out_path = cli::value_of("--out", args.next()).unwrap_or_else(|e| fail(e)),
             "--check" => {
                 let path = cli::value_of("--check", args.next()).unwrap_or_else(|e| fail(e));
-                check(&path);
+                cli::check_file(&path, check_doc);
                 return;
             }
             "--help" | "-h" => {
@@ -240,31 +240,13 @@ fn render_stream(
     w.finish()
 }
 
-/// Validates a previously written file; exits non-zero on bad JSON or an
-/// internally inconsistent measurement.
-fn check(path: &str) {
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| die(format!("--check: cannot read {path}: {e}")));
-    match check_doc(&text) {
-        Ok(summary) => println!("{path}: {summary}"),
-        Err(e) => die(format!("{path}: {e}")),
-    }
-}
-
 /// The `--check` predicate: the document must be well-formed
 /// `planaria-perf-stream-v1` JSON, every row must carry a numeric access
 /// count and a parseable 64-bit fingerprint, and a run that recorded
 /// `"verified": false` is rejected outright — it means the streamed result
 /// diverged from the materialized oracle.
 fn check_doc(text: &str) -> Result<String, String> {
-    let doc = json::parse(text).map_err(|e| format!("malformed JSON: {e}"))?;
-    match doc.get("schema").and_then(|v| v.as_str()) {
-        Some("planaria-perf-stream-v1") => {}
-        Some(other) => {
-            return Err(format!("unexpected schema {other:?} (want planaria-perf-stream-v1)"))
-        }
-        None => return Err("missing \"schema\" key".into()),
-    }
+    let doc = cli::parse_schema(text, "planaria-perf-stream-v1")?;
     let rows = doc.get("rows").and_then(|v| v.as_object()).ok_or("missing \"rows\" object")?;
     if rows.is_empty() {
         return Err("\"rows\" is empty: no workload was measured".into());
@@ -339,5 +321,12 @@ mod tests {
         assert!(check_doc("{\"schema\": \"planaria-perf-stream-v1\", \"rows\": {}}")
             .expect_err("empty rows")
             .contains("empty"));
+    }
+
+    #[test]
+    fn check_survives_every_bit_flip_and_truncation() {
+        let doc = render_stream(200_000, None, &stream_rows(), Some(true));
+        let rejected = cli::sweep_mutants(&doc, check_doc).expect("sweep");
+        assert!(rejected > 0, "no bit flip was rejected");
     }
 }

@@ -167,7 +167,7 @@ fn main() {
             }
             "--check" => {
                 let path = cli::value_of("--check", args.next()).unwrap_or_else(|e| fail(e));
-                check(&path);
+                cli::check_file(&path, check_doc);
                 return;
             }
             "--help" | "-h" => {
@@ -264,43 +264,25 @@ fn main() {
     eprintln!("wrote {out_path}");
 }
 
-/// Validates a previously written file; exits non-zero on bad JSON or a
-/// structurally incomplete report.
-fn check(path: &str) {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("--check: cannot read {path}: {e}");
-        std::process::exit(1);
-    });
-    let doc = match json::parse(&text) {
-        Ok(doc) => doc,
-        Err(e) => {
-            eprintln!("{path}: malformed JSON: {e}");
-            std::process::exit(1);
-        }
+/// The `--check` predicate: the document must be well-formed
+/// `planaria-serve-v1` JSON carrying every numeric field of the report,
+/// with `accesses` equal to `devices` x `len` and a `latency_ns.p99`.
+fn check_doc(text: &str) -> Result<String, String> {
+    let doc = cli::parse_schema(text, "planaria-serve-v1")?;
+    let number = |key: &str| {
+        doc.get(key).and_then(|v| v.as_f64()).ok_or(format!("missing numeric field {key:?}"))
     };
-    if doc.get("schema").and_then(|v| v.as_str()) != Some("planaria-serve-v1") {
-        eprintln!("{path}: missing planaria-serve-v1 schema marker");
-        std::process::exit(1);
+    for key in ["shards", "workers", "wall_secs", "decisions_per_sec"] {
+        number(key)?;
     }
-    for key in ["devices", "len", "shards", "workers", "accesses", "wall_secs", "decisions_per_sec"]
-    {
-        if doc.get(key).and_then(|v| v.as_f64()).is_none() {
-            eprintln!("{path}: missing numeric field {key:?}");
-            std::process::exit(1);
-        }
-    }
-    let devices = doc.get("devices").and_then(|v| v.as_f64()).unwrap_or(0.0);
-    let len = doc.get("len").and_then(|v| v.as_f64()).unwrap_or(0.0);
-    let accesses = doc.get("accesses").and_then(|v| v.as_f64()).unwrap_or(0.0);
+    let (devices, len, accesses) = (number("devices")?, number("len")?, number("accesses")?);
     if accesses != devices * len {
-        eprintln!("{path}: accesses {accesses} != devices {devices} x len {len}");
-        std::process::exit(1);
+        return Err(format!("accesses {accesses} != devices {devices} x len {len}"));
     }
     if doc.get("latency_ns").and_then(|v| v.get("p99")).and_then(|v| v.as_f64()).is_none() {
-        eprintln!("{path}: missing latency_ns.p99");
-        std::process::exit(1);
+        return Err("missing latency_ns.p99".into());
     }
-    println!("{path}: well-formed planaria-serve-v1 JSON ({devices} devices)");
+    Ok(format!("well-formed planaria-serve-v1 JSON ({devices} devices)"))
 }
 
 /// Renders the report document (fixed key order, so diffs are clean).
@@ -364,4 +346,28 @@ fn render(
     }
     w.end_object();
     w.finish()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn doc(devices: usize, len: usize, accesses: u64) -> String {
+        let kind = PrefetcherKind::PlanariaLean;
+        render(devices, len, 4, 1, 4096, kind, accesses, 0.5, 1.5, 267.0, 900, 4000, 7, 1.25, None)
+    }
+
+    #[test]
+    fn check_rejects_wrong_schema_and_inconsistent_counts() {
+        let wrong = doc(10, 40, 400).replace("planaria-serve-v1", "planaria-contention-v1");
+        assert!(check_doc(&wrong).expect_err("wrong schema").contains("unexpected schema"));
+        let short = doc(10, 40, 399);
+        assert!(check_doc(&short).expect_err("lost accesses").contains("accesses"));
+    }
+
+    #[test]
+    fn check_survives_every_bit_flip_and_truncation() {
+        let rejected = cli::sweep_mutants(&doc(10, 40, 400), check_doc).expect("sweep");
+        assert!(rejected > 0, "no bit flip was rejected");
+    }
 }

@@ -19,8 +19,9 @@
 #![allow(clippy::disallowed_methods)]
 
 use planaria_bench::cli;
+use planaria_common::PrefetchOrigin;
 use planaria_sim::experiment::PrefetcherKind;
-use planaria_sim::{MemorySystem, SystemConfig, TelemetryConfig};
+use planaria_sim::{EventKind, MemorySystem, SystemConfig, TelemetryConfig};
 use planaria_trace::apps::{self, AppId};
 
 /// One-line usage summary (stderr on `--help` and on argument errors).
@@ -110,7 +111,7 @@ fn main() {
         result.hit_rate,
         report.events.len(),
         report.events_dropped,
-        report.issued(planaria_common::PrefetchOrigin::Slp),
-        report.issued(planaria_common::PrefetchOrigin::Tlp),
+        report.by_origin(EventKind::PrefetchIssued, PrefetchOrigin::Slp),
+        report.by_origin(EventKind::PrefetchIssued, PrefetchOrigin::Tlp),
     );
 }

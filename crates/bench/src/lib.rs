@@ -180,6 +180,8 @@ pub fn proc_status_kb(field: &str) -> Option<u64> {
 pub mod cli {
     use std::fmt::Display;
 
+    use planaria_common::json::{self, Value};
+
     /// Prints `error: {msg}`, the usage, and exits with status 2.
     pub fn usage_error(usage: &str, msg: impl Display) -> ! {
         eprintln!("error: {msg}");
@@ -204,6 +206,67 @@ pub mod cli {
             return Err(format!("{flag} must be at least 1"));
         }
         Ok(n)
+    }
+
+    /// A bin's `--check` predicate: a one-line summary of a sound
+    /// document, or what is wrong with it.
+    pub type CheckDoc = fn(&str) -> Result<String, String>;
+
+    /// Runs `check_doc` on the document at `path`: prints
+    /// `{path}: {summary}` when it holds, or `{path}: {error}` on stderr
+    /// and exits with status 1 when it does not or the file cannot be read.
+    pub fn check_file(path: &str, check_doc: CheckDoc) {
+        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read: {e}"));
+        match text.and_then(|text| check_doc(&text)) {
+            Ok(summary) => println!("{path}: {summary}"),
+            Err(e) => {
+                eprintln!("{path}: {e}");
+                std::process::exit(1);
+            }
+        }
+    }
+
+    /// Parses `text` as JSON and requires its top-level `schema` to be
+    /// `want` — the first step of every `--check` predicate.
+    ///
+    /// # Errors
+    ///
+    /// Malformed JSON, or a missing or different top-level `schema`.
+    pub fn parse_schema(text: &str, want: &str) -> Result<Value, String> {
+        let doc = json::parse(text).map_err(|e| format!("malformed JSON: {e}"))?;
+        match doc.get("schema").and_then(|v| v.as_str()) {
+            Some(schema) if schema == want => Ok(doc),
+            Some(other) => Err(format!("unexpected schema {other:?} (want {want})")),
+            None => Err("missing \"schema\" key".into()),
+        }
+    }
+
+    /// Feeds `check_doc` a freshly rendered `doc`, then every truncation
+    /// and every single-bit flip of it. A panic in `check_doc` fails the
+    /// caller; otherwise each mutant may pass or fail, except that a
+    /// truncation cutting into the closing brace must fail. Returns the
+    /// number of rejected bit flips.
+    ///
+    /// # Errors
+    ///
+    /// The untouched document fails, or a truncated one passes.
+    pub fn sweep_mutants(doc: &str, check_doc: CheckDoc) -> Result<usize, String> {
+        check_doc(doc).map_err(|e| format!("the untouched document fails: {e}"))?;
+        let (bytes, complete) = (doc.as_bytes(), doc.trim_end().len());
+        for cut in 0..bytes.len() {
+            let passed = check_doc(&String::from_utf8_lossy(&bytes[..cut])).is_ok();
+            if passed && cut < complete {
+                return Err(format!("the first {cut} bytes pass"));
+            }
+        }
+        let mut flipped = bytes.to_vec();
+        let mut rejected = 0;
+        for bit in 0..bytes.len() * 8 {
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            rejected += usize::from(check_doc(&String::from_utf8_lossy(&flipped)).is_err());
+            flipped[bit / 8] ^= 1 << (bit % 8);
+        }
+        Ok(rejected)
     }
 
     #[cfg(test)]

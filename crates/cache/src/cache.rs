@@ -64,7 +64,8 @@ pub enum AccessResult {
         /// prefetcher brought in — i.e. the prefetch was *useful*.
         first_use_of_prefetch: Option<PrefetchOrigin>,
     },
-    /// The block was absent; the caller must fetch and [`SetAssocCache::fill`].
+    /// The block was absent; the caller must fetch it and
+    /// [`SetAssocCache::fill_by`].
     Miss,
 }
 
@@ -95,10 +96,10 @@ pub struct EvictedLine {
 
 /// A set-associative, write-back, write-allocate cache model.
 ///
-/// The cache does not fetch on miss by itself: `access` reports the miss and
-/// the caller (the memory-system simulator) performs the DRAM access and
-/// calls [`SetAssocCache::fill`] — mirroring how the SC and the memory
-/// controller are separate agents in the real system.
+/// The cache does not fetch on miss by itself: [`SetAssocCache::access_by`]
+/// reports the miss and the caller (the memory-system simulator) performs
+/// the DRAM access and calls [`SetAssocCache::fill_by`] — mirroring how the
+/// SC and the memory controller are separate agents in the real system.
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
     config: CacheConfig,
@@ -123,7 +124,7 @@ pub struct SetAssocCache {
     /// DRRIP set-dueling policy selector (10-bit saturating counter).
     psel: u16,
     /// Fill counter driving BRRIP's bimodal insertion.
-    fills: u64,
+    brrip_fills: u64,
 }
 
 impl SetAssocCache {
@@ -146,14 +147,14 @@ impl SetAssocCache {
             tick: 0,
             rng: 0x9E37_79B9_7F4A_7C15,
             psel: PSEL_MID,
-            fills: 0,
+            brrip_fills: 0,
         }
     }
 
     /// BRRIP's bimodal insertion value: "distant" except once per period.
     fn brrip_rrpv(&mut self) -> u8 {
-        self.fills += 1;
-        if self.fills.is_multiple_of(BRRIP_LONG_PERIOD) {
+        self.brrip_fills += 1;
+        if self.brrip_fills.is_multiple_of(BRRIP_LONG_PERIOD) {
             SRRIP_INSERT_RRPV
         } else {
             SRRIP_MAX_RRPV
@@ -217,18 +218,12 @@ impl SetAssocCache {
         self.tags[base..base + self.config.ways].contains(&tag)
     }
 
-    /// Performs a demand access (updates replacement state and stats),
-    /// attributing it to the default device ([`DeviceId::Cpu`]`(0)`).
+    /// Performs a demand access attributed to `device`: updates
+    /// replacement state, the aggregate demand counters and `device`'s
+    /// per-device row.
     ///
     /// On a miss the caller is responsible for fetching the block and
-    /// calling [`SetAssocCache::fill`] once the data arrives.
-    pub fn access(&mut self, addr: PhysAddr, kind: AccessKind) -> AccessResult {
-        self.access_by(addr, kind, DeviceId::default())
-    }
-
-    /// Performs a demand access attributed to `device`: identical to
-    /// [`SetAssocCache::access`] except the per-device statistics row for
-    /// `device` is updated alongside the aggregate counters.
+    /// calling [`SetAssocCache::fill_by`] once the data arrives.
     ///
     /// # Examples
     ///
@@ -239,7 +234,7 @@ impl SetAssocCache {
     /// let mut sc = SetAssocCache::new(CacheConfig::system_cache());
     /// let addr = PhysAddr::new(0x4000);
     /// sc.access_by(addr, AccessKind::Read, DeviceId::Npu); // cold miss
-    /// sc.fill(addr, None);
+    /// sc.fill_by(addr, None, DeviceId::Npu);
     /// sc.access_by(addr, AccessKind::Read, DeviceId::Npu); // hit
     /// let npu = &sc.device_stats()[DeviceId::Npu.index()];
     /// assert_eq!((npu.demand_hits, npu.demand_misses), (1, 1));
@@ -270,10 +265,6 @@ impl SetAssocCache {
                 self.repl.on_hit(base, way, tick);
                 self.stats.demand_hits += 1;
                 self.device_stats[device.index()].demand_hits += 1;
-                if first_use.is_some() {
-                    self.stats.record_useful(first_use);
-                    self.device_stats[device.index()].record_useful(first_use);
-                }
                 AccessResult::Hit { first_use_of_prefetch: first_use }
             }
             None => {
@@ -293,24 +284,15 @@ impl SetAssocCache {
         }
     }
 
-    /// Fills a block, evicting a victim if the set is full, attributing the
-    /// fill to the default device ([`DeviceId::Cpu`]`(0)`).
+    /// Fills a block, evicting a victim if the set is full, and records
+    /// `device` (the requester for demand fills, the trigger device for
+    /// prefetch fills) in the line's metadata so a later eviction can
+    /// attribute the victim.
     ///
     /// `prefetched` is `Some(origin)` for prefetch fills and `None` for
     /// demand fills. Filling a block that is already present is a no-op
     /// (returns `None`) — this happens when a demand fill races an earlier
     /// prefetch fill of the same block.
-    pub fn fill(
-        &mut self,
-        addr: PhysAddr,
-        prefetched: Option<PrefetchOrigin>,
-    ) -> Option<EvictedLine> {
-        self.fill_by(addr, prefetched, DeviceId::default())
-    }
-
-    /// Like [`SetAssocCache::fill`], but records `device` (the requester
-    /// for demand fills, the trigger device for prefetch fills) in the
-    /// line's metadata so a later eviction can attribute the victim.
     pub fn fill_by(
         &mut self,
         addr: PhysAddr,
@@ -333,11 +315,7 @@ impl SetAssocCache {
                 invalid_way = Some(w);
             }
         }
-        if prefetched.is_some() {
-            self.stats.prefetch_fills += 1;
-        } else {
-            self.stats.demand_fills += 1;
-        }
+        self.stats.fills += 1;
         let way = match invalid_way {
             Some(w) => w,
             None => self.repl.victim(base, ways, &mut self.rng),
@@ -346,13 +324,6 @@ impl SetAssocCache {
         let victim_tag = self.tags[base + way];
         let evicted = if victim_tag != TAG_INVALID {
             let vm = self.meta[base + way];
-            self.stats.evictions += 1;
-            if vm & META_DIRTY != 0 {
-                self.stats.writebacks += 1;
-            }
-            if vm & META_PREFETCHED != 0 {
-                self.stats.polluting_prefetches += 1;
-            }
             let victim_block = (victim_tag << self.set_shift) | set as u64;
             Some(EvictedLine {
                 addr: PhysAddr::new(victim_block * planaria_common::BLOCK_SIZE),
@@ -400,6 +371,9 @@ mod tests {
     use crate::ReplacementKind;
     use planaria_common::BLOCK_SIZE;
 
+    /// The device the single-device tests access and fill as.
+    const CPU: DeviceId = DeviceId::Cpu(0);
+
     fn tiny() -> SetAssocCache {
         // 4 sets x 2 ways x 64B = 512B.
         SetAssocCache::new(CacheConfig {
@@ -417,9 +391,9 @@ mod tests {
     fn cold_miss_then_hit_after_fill() {
         let mut c = tiny();
         let a = PhysAddr::new(0x1000);
-        assert_eq!(c.access(a, AccessKind::Read), AccessResult::Miss);
-        assert!(c.fill(a, None).is_none());
-        assert!(c.access(a, AccessKind::Read).is_hit());
+        assert_eq!(c.access_by(a, AccessKind::Read, CPU), AccessResult::Miss);
+        assert!(c.fill_by(a, None, CPU).is_none());
+        assert!(c.access_by(a, AccessKind::Read, CPU).is_hit());
         assert_eq!(c.stats().demand_hits, 1);
         assert_eq!(c.stats().demand_misses, 1);
     }
@@ -428,11 +402,11 @@ mod tests {
     fn lru_eviction_order() {
         let mut c = tiny();
         let (a, b, d) = (addr_for(0, 1, 4), addr_for(0, 2, 4), addr_for(0, 3, 4));
-        c.fill(a, None);
-        c.fill(b, None);
+        c.fill_by(a, None, CPU);
+        c.fill_by(b, None, CPU);
         // Touch `a` so `b` is LRU.
-        assert!(c.access(a, AccessKind::Read).is_hit());
-        let evicted = c.fill(d, None).expect("eviction");
+        assert!(c.access_by(a, AccessKind::Read, CPU).is_hit());
+        let evicted = c.fill_by(d, None, CPU).expect("eviction");
         assert_eq!(evicted.addr, b.block_base());
         assert!(c.contains(a) && c.contains(d) && !c.contains(b));
     }
@@ -441,65 +415,64 @@ mod tests {
     fn dirty_eviction_reports_writeback() {
         let mut c = tiny();
         let (a, b, d) = (addr_for(1, 1, 4), addr_for(1, 2, 4), addr_for(1, 3, 4));
-        c.fill(a, None);
-        assert!(c.access(a, AccessKind::Write).is_hit());
-        c.fill(b, None);
-        c.access(b, AccessKind::Read);
-        let evicted = c.fill(d, None).expect("eviction");
+        c.fill_by(a, None, CPU);
+        assert!(c.access_by(a, AccessKind::Write, CPU).is_hit());
+        c.fill_by(b, None, CPU);
+        c.access_by(b, AccessKind::Read, CPU);
+        let evicted = c.fill_by(d, None, CPU).expect("eviction");
         assert!(evicted.dirty);
-        assert_eq!(c.stats().writebacks, 1);
+        assert!(!evicted.was_unused_prefetch);
     }
 
     #[test]
     fn useful_prefetch_detected_once() {
         let mut c = tiny();
         let a = PhysAddr::new(0x2000);
-        c.fill(a, Some(PrefetchOrigin::Slp));
-        match c.access(a, AccessKind::Read) {
+        c.fill_by(a, Some(PrefetchOrigin::Slp), CPU);
+        match c.access_by(a, AccessKind::Read, CPU) {
             AccessResult::Hit { first_use_of_prefetch } => {
                 assert_eq!(first_use_of_prefetch, Some(PrefetchOrigin::Slp));
             }
             _ => panic!("expected hit"),
         }
         // Second touch is an ordinary hit.
-        match c.access(a, AccessKind::Read) {
+        match c.access_by(a, AccessKind::Read, CPU) {
             AccessResult::Hit { first_use_of_prefetch } => {
                 assert_eq!(first_use_of_prefetch, None);
             }
             _ => panic!("expected hit"),
         }
-        assert_eq!(c.stats().useful_prefetches, 1);
-        assert_eq!(c.stats().useful_slp, 1);
+        assert_eq!(c.stats().demand_hits, 2);
     }
 
     #[test]
     fn unused_prefetch_eviction_counts_pollution() {
         let mut c = tiny();
         let (a, b, d) = (addr_for(2, 1, 4), addr_for(2, 2, 4), addr_for(2, 3, 4));
-        c.fill(a, Some(PrefetchOrigin::Tlp));
-        c.fill(b, None);
-        c.access(b, AccessKind::Read); // make b MRU; a is LRU
-        let evicted = c.fill(d, None).expect("eviction");
+        c.fill_by(a, Some(PrefetchOrigin::Tlp), CPU);
+        c.fill_by(b, None, CPU);
+        c.access_by(b, AccessKind::Read, CPU); // make b MRU; a is LRU
+        let evicted = c.fill_by(d, None, CPU).expect("eviction");
         assert!(evicted.was_unused_prefetch);
-        assert_eq!(c.stats().polluting_prefetches, 1);
+        assert_eq!(evicted.origin, Some(PrefetchOrigin::Tlp));
     }
 
     #[test]
     fn duplicate_fill_is_noop() {
         let mut c = tiny();
         let a = PhysAddr::new(0x3000);
-        c.fill(a, None);
-        assert!(c.fill(a, Some(PrefetchOrigin::Slp)).is_none());
+        c.fill_by(a, None, CPU);
+        assert!(c.fill_by(a, Some(PrefetchOrigin::Slp), CPU).is_none());
         assert_eq!(c.valid_lines(), 1);
         // A duplicate fill occupies no line and is not counted as a fill.
-        assert_eq!(c.stats().prefetch_fills, 0);
+        assert_eq!(c.stats().fills, 1);
     }
 
     #[test]
     fn valid_lines_never_exceed_capacity() {
         let mut c = tiny();
         for i in 0..100 {
-            c.fill(PhysAddr::new(i * BLOCK_SIZE), None);
+            c.fill_by(PhysAddr::new(i * BLOCK_SIZE), None, CPU);
             assert!(c.valid_lines() <= 8);
         }
         assert_eq!(c.valid_lines(), 8);
@@ -508,8 +481,8 @@ mod tests {
     #[test]
     fn sub_block_addresses_map_to_same_line() {
         let mut c = tiny();
-        c.fill(PhysAddr::new(0x1000), None);
-        assert!(c.access(PhysAddr::new(0x1004), AccessKind::Read).is_hit());
+        c.fill_by(PhysAddr::new(0x1000), None, CPU);
+        assert!(c.access_by(PhysAddr::new(0x1004), AccessKind::Read, CPU).is_hit());
         assert!(c.contains(PhysAddr::new(0x103F)));
     }
 
@@ -526,12 +499,12 @@ mod tests {
             for round in 0..200 {
                 for &b in &blocks {
                     let a = PhysAddr::new(b * BLOCK_SIZE);
-                    if c.access(a, AccessKind::Read).is_hit() {
+                    if c.access_by(a, AccessKind::Read, CPU).is_hit() {
                         if round > 1 {
                             hits += 1;
                         }
                     } else {
-                        c.fill(a, None);
+                        c.fill_by(a, None, CPU);
                     }
                 }
             }
@@ -561,10 +534,10 @@ mod tests {
                 for k in 0..3u64 {
                     // 3 blocks per 2-way set: cyclic thrash.
                     let a = PhysAddr::new((k * sets as u64 + set) * BLOCK_SIZE);
-                    if c.access(a, AccessKind::Read).is_hit() {
+                    if c.access_by(a, AccessKind::Read, CPU).is_hit() {
                         hits += 1;
                     } else {
-                        c.fill(a, None);
+                        c.fill_by(a, None, CPU);
                     }
                 }
             }
@@ -583,7 +556,7 @@ mod tests {
     #[test]
     fn reset_stats_zeroes() {
         let mut c = tiny();
-        c.access(PhysAddr::new(0x40), AccessKind::Read);
+        c.access_by(PhysAddr::new(0x40), AccessKind::Read, CPU);
         c.reset_stats();
         assert_eq!(*c.stats(), CacheStats::default());
         assert_eq!(c.device_stats(), &[crate::DeviceCacheStats::default(); DeviceId::COUNT]);
@@ -599,12 +572,12 @@ mod tests {
             c.fill_by(a, Some(PrefetchOrigin::Slp), d);
             assert!(c.access_by(a, AccessKind::Read, d).is_hit(), "useful prefetch");
         }
-        // Device-less access lands on the default row; conservation holds.
-        c.access(PhysAddr::new(0x40_000), AccessKind::Read);
+        // The default device's access lands on its own row; conservation
+        // holds.
+        c.access_by(PhysAddr::new(0x40_000), AccessKind::Read, CPU);
         let rows = c.device_stats();
         assert!(crate::DeviceCacheStats::conserves(rows, c.stats()));
         assert_eq!(rows[DeviceId::Gpu.index()].demand_hits, 1);
-        assert_eq!(rows[DeviceId::Gpu.index()].useful_slp, 1);
         assert_eq!(rows[DeviceId::Cpu(0).index()].demand_misses, 2);
     }
 
@@ -614,8 +587,8 @@ mod tests {
         let (a, b, d) = (addr_for(3, 1, 4), addr_for(3, 2, 4), addr_for(3, 3, 4));
         c.fill_by(a, Some(PrefetchOrigin::Tlp), DeviceId::Npu);
         c.fill_by(b, None, DeviceId::Cpu(5));
-        c.access(b, AccessKind::Read); // b MRU, a LRU
-        let evicted = c.fill(d, None).expect("eviction");
+        c.access_by(b, AccessKind::Read, CPU); // b MRU, a LRU
+        let evicted = c.fill_by(d, None, CPU).expect("eviction");
         assert_eq!(evicted.device, DeviceId::Npu, "victim keeps its filler's device");
         assert!(evicted.was_unused_prefetch);
     }

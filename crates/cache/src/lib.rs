@@ -4,25 +4,30 @@
 //! mobile SoC: 4 MB, 16-way, 64 B blocks (Table 1), shared by every agent.
 //! This crate models it with the bookkeeping a prefetching study needs:
 //!
-//! * every line carries a *prefetched* bit and the originating
-//!   sub-prefetcher, so useful-prefetch, pollution and Figure 9 breakdown
-//!   statistics fall out of the cache itself;
+//! * every line carries a *prefetched* bit, the originating sub-prefetcher
+//!   and the device that filled it, so a useful first touch
+//!   ([`AccessResult::Hit`]) and pollution ([`EvictedLine`]) are reported
+//!   per line, attributed for the Figure 9 breakdown; the cache itself
+//!   counts only demand hits, misses and fills ([`CacheStats`]);
 //! * pluggable replacement policies ([`ReplacementKind`]): LRU, FIFO,
-//!   2-bit SRRIP and deterministic pseudo-random — used by the paper's
-//!   "better replacement doesn't fix the SC" ablation;
+//!   2-bit SRRIP, bimodal BRRIP, set-dueling DRRIP and deterministic
+//!   pseudo-random — used by the paper's "better replacement doesn't fix
+//!   the SC" ablation;
 //! * a bounded, deduplicating [`PrefetchQueue`].
 //!
 //! # Examples
 //!
 //! ```
-//! use planaria_cache::{CacheConfig, SetAssocCache};
-//! use planaria_common::{AccessKind, PhysAddr};
+//! use planaria_cache::{AccessResult, CacheConfig, SetAssocCache};
+//! use planaria_common::{AccessKind, DeviceId, PhysAddr, PrefetchOrigin};
 //!
 //! let mut sc = SetAssocCache::new(CacheConfig::system_cache());
-//! let addr = PhysAddr::new(0x4000);
-//! assert!(!sc.access(addr, AccessKind::Read).is_hit()); // cold miss
-//! sc.fill(addr, None);
-//! assert!(sc.access(addr, AccessKind::Read).is_hit());
+//! let (addr, gpu) = (PhysAddr::new(0x4000), DeviceId::Gpu);
+//! assert!(!sc.access_by(addr, AccessKind::Read, gpu).is_hit()); // cold miss
+//! sc.fill_by(addr, Some(PrefetchOrigin::Slp), gpu);
+//! let first_touch = sc.access_by(addr, AccessKind::Read, gpu);
+//! let useful = AccessResult::Hit { first_use_of_prefetch: Some(PrefetchOrigin::Slp) };
+//! assert_eq!(first_touch, useful);
 //! ```
 
 #![deny(clippy::disallowed_types)]

@@ -1,40 +1,21 @@
-//! Cache statistics, including prefetch usefulness bookkeeping.
+//! Demand and fill counters.
 
-use core::fmt;
-
-use planaria_common::{DeviceId, PrefetchOrigin};
+use planaria_common::DeviceId;
 
 /// Counters maintained by [`crate::SetAssocCache`].
 ///
-/// Prefetch metrics follow the standard definitions:
-///
-/// * **useful** — first demand hit on a line filled by a prefetch;
-/// * **pollution** — a prefetched line evicted without ever serving a
-///   demand hit;
-/// * **accuracy** = useful / prefetch fills;
-/// * **coverage** = useful / (useful + demand misses).
+/// The cache counts demand outcomes and fills only. Prefetch outcomes
+/// (a useful first touch, an unused eviction) are reported per line
+/// through [`crate::AccessResult`] and [`crate::EvictedLine`], and
+/// counted once by whoever consumes them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Demand accesses that hit.
     pub demand_hits: u64,
     /// Demand accesses that missed.
     pub demand_misses: u64,
-    /// Lines filled by demand misses.
-    pub demand_fills: u64,
-    /// Lines filled by prefetches.
-    pub prefetch_fills: u64,
-    /// First demand hits on prefetched lines.
-    pub useful_prefetches: u64,
-    /// First demand hits on lines prefetched by SLP.
-    pub useful_slp: u64,
-    /// First demand hits on lines prefetched by TLP.
-    pub useful_tlp: u64,
-    /// Prefetched lines evicted before any demand use.
-    pub polluting_prefetches: u64,
-    /// Dirty lines evicted (writeback traffic).
-    pub writebacks: u64,
-    /// Evictions of any kind.
-    pub evictions: u64,
+    /// Lines filled, by demand misses and prefetches alike.
+    pub fills: u64,
 }
 
 impl CacheStats {
@@ -52,38 +33,9 @@ impl CacheStats {
             self.demand_hits as f64 / total as f64
         }
     }
-
-    /// Prefetch accuracy in `[0, 1]` (0 when nothing was prefetched).
-    pub fn prefetch_accuracy(&self) -> f64 {
-        if self.prefetch_fills == 0 {
-            0.0
-        } else {
-            self.useful_prefetches as f64 / self.prefetch_fills as f64
-        }
-    }
-
-    /// Prefetch coverage in `[0, 1]`: fraction of would-be misses that a
-    /// prefetch converted into hits.
-    pub fn prefetch_coverage(&self) -> f64 {
-        let denom = self.useful_prefetches + self.demand_misses;
-        if denom == 0 {
-            0.0
-        } else {
-            self.useful_prefetches as f64 / denom as f64
-        }
-    }
-
-    pub(crate) fn record_useful(&mut self, origin: Option<PrefetchOrigin>) {
-        self.useful_prefetches += 1;
-        match origin {
-            Some(PrefetchOrigin::Slp) => self.useful_slp += 1,
-            Some(PrefetchOrigin::Tlp) => self.useful_tlp += 1,
-            _ => {}
-        }
-    }
 }
 
-/// Per-device demand and usefulness counters, one row per [`DeviceId`].
+/// Per-device demand counters, one row per [`DeviceId`].
 ///
 /// Maintained by [`crate::SetAssocCache::access_by`] alongside the
 /// aggregate [`CacheStats`]; each counter here is bumped if and only if
@@ -97,13 +49,6 @@ pub struct DeviceCacheStats {
     pub demand_hits: u64,
     /// Demand accesses from this device that missed.
     pub demand_misses: u64,
-    /// First demand touches of prefetched lines, credited to the touching
-    /// device (it is the one whose miss the prefetch hid).
-    pub useful_prefetches: u64,
-    /// Useful prefetches from SLP-filled lines (Figure 9 split).
-    pub useful_slp: u64,
-    /// Useful prefetches from TLP-filled lines (Figure 9 split).
-    pub useful_tlp: u64,
 }
 
 impl DeviceCacheStats {
@@ -134,37 +79,6 @@ impl DeviceCacheStats {
         let sum = |f: fn(&DeviceCacheStats) -> u64| rows.iter().map(f).sum::<u64>();
         sum(|r| r.demand_hits) == total.demand_hits
             && sum(|r| r.demand_misses) == total.demand_misses
-            && sum(|r| r.useful_prefetches) == total.useful_prefetches
-            && sum(|r| r.useful_slp) == total.useful_slp
-            && sum(|r| r.useful_tlp) == total.useful_tlp
-    }
-
-    pub(crate) fn record_useful(&mut self, origin: Option<PrefetchOrigin>) {
-        self.useful_prefetches += 1;
-        match origin {
-            Some(PrefetchOrigin::Slp) => self.useful_slp += 1,
-            Some(PrefetchOrigin::Tlp) => self.useful_tlp += 1,
-            _ => {}
-        }
-    }
-}
-
-impl fmt::Display for CacheStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "hits {} misses {} (hit rate {:.2}%), pf fills {} useful {} polluting {} \
-             (accuracy {:.2}%, coverage {:.2}%), writebacks {}",
-            self.demand_hits,
-            self.demand_misses,
-            self.hit_rate() * 100.0,
-            self.prefetch_fills,
-            self.useful_prefetches,
-            self.polluting_prefetches,
-            self.prefetch_accuracy() * 100.0,
-            self.prefetch_coverage() * 100.0,
-            self.writebacks,
-        )
     }
 }
 
@@ -175,35 +89,13 @@ mod tests {
     #[test]
     fn rates_handle_zero_denominators() {
         let s = CacheStats::default();
-        assert_eq!(s.hit_rate(), 0.0);
-        assert_eq!(s.prefetch_accuracy(), 0.0);
-        assert_eq!(s.prefetch_coverage(), 0.0);
+        assert_eq!(s.demand_accesses(), 0);
+        assert_eq!(s.hit_rate(), 0.0, "no accesses, no rate");
     }
 
     #[test]
     fn rates_compute() {
-        let s = CacheStats {
-            demand_hits: 75,
-            demand_misses: 25,
-            prefetch_fills: 50,
-            useful_prefetches: 40,
-            ..CacheStats::default()
-        };
+        let s = CacheStats { demand_hits: 75, demand_misses: 25, ..CacheStats::default() };
         assert!((s.hit_rate() - 0.75).abs() < 1e-12);
-        assert!((s.prefetch_accuracy() - 0.8).abs() < 1e-12);
-        assert!((s.prefetch_coverage() - 40.0 / 65.0).abs() < 1e-12);
-        assert!(!s.to_string().is_empty());
-    }
-
-    #[test]
-    fn record_useful_attributes_origin() {
-        let mut s = CacheStats::default();
-        s.record_useful(Some(PrefetchOrigin::Slp));
-        s.record_useful(Some(PrefetchOrigin::Tlp));
-        s.record_useful(Some(PrefetchOrigin::Baseline));
-        s.record_useful(None);
-        assert_eq!(s.useful_prefetches, 4);
-        assert_eq!(s.useful_slp, 1);
-        assert_eq!(s.useful_tlp, 1);
     }
 }

@@ -5,8 +5,11 @@
 use std::collections::VecDeque;
 
 use planaria_cache::{AccessResult, CacheConfig, ReplacementKind, SetAssocCache};
-use planaria_common::{AccessKind, PhysAddr, BLOCK_SIZE};
+use planaria_common::{AccessKind, DeviceId, PhysAddr, PrefetchOrigin, BLOCK_SIZE};
 use proptest::prelude::*;
+
+/// The device every operation is attributed to.
+const CPU: DeviceId = DeviceId::Cpu(0);
 
 /// A straightforward LRU set-associative cache: per-set deque of block
 /// numbers, front = most recent.
@@ -80,18 +83,18 @@ proptest! {
             match *op {
                 Op::Access(block) => {
                     let addr = PhysAddr::new(block * BLOCK_SIZE);
-                    let got = dut.access(addr, AccessKind::Read).is_hit();
+                    let got = dut.access_by(addr, AccessKind::Read, CPU).is_hit();
                     let want = reference.access(block);
                     prop_assert_eq!(got, want, "op {}: access {} hit mismatch", i, block);
                     if !got {
-                        let evicted = dut.fill(addr, None).map(|e| e.addr.block_number());
+                        let evicted = dut.fill_by(addr, None, CPU).map(|e| e.addr.block_number());
                         let ref_evicted = reference.fill(block);
                         prop_assert_eq!(evicted, ref_evicted, "op {}: eviction mismatch", i);
                     }
                 }
                 Op::Fill(block) => {
                     let addr = PhysAddr::new(block * BLOCK_SIZE);
-                    let evicted = dut.fill(addr, None).map(|e| e.addr.block_number());
+                    let evicted = dut.fill_by(addr, None, CPU).map(|e| e.addr.block_number());
                     let ref_evicted = reference.fill(block);
                     prop_assert_eq!(evicted, ref_evicted, "op {}: fill eviction mismatch", i);
                 }
@@ -122,12 +125,12 @@ proptest! {
                 let addr = PhysAddr::new(block * BLOCK_SIZE);
                 match *op {
                     Op::Access(_) => {
-                        if matches!(dut.access(addr, AccessKind::Read), AccessResult::Miss) {
-                            dut.fill(addr, None);
+                        if matches!(dut.access_by(addr, AccessKind::Read, CPU), AccessResult::Miss) {
+                            dut.fill_by(addr, None, CPU);
                         }
                     }
                     Op::Fill(_) => {
-                        dut.fill(addr, None);
+                        dut.fill_by(addr, None, CPU);
                     }
                 }
                 prop_assert!(dut.valid_lines() <= 8, "{repl}: capacity exceeded");
@@ -146,30 +149,34 @@ proptest! {
             replacement: ReplacementKind::Lru,
         };
         let mut dut = SetAssocCache::new(cfg);
-        let mut accesses = 0u64;
-        let mut fills = 0u64;
+        let (mut accesses, mut fills, mut prefetch_fills) = (0u64, 0u64, 0u64);
+        // Prefetch outcomes as the cache reports them, line by line.
+        let (mut useful, mut polluting) = (0u64, 0u64);
         for op in &ops {
-            match *op {
-                Op::Access(block) => {
-                    accesses += 1;
-                    let addr = PhysAddr::new(block * BLOCK_SIZE);
-                    if !dut.access(addr, AccessKind::Read).is_hit()
-                        && (dut.fill(addr, None).is_some() || dut.valid_lines() <= 16) {
-                            fills += 1;
-                        }
-                }
-                Op::Fill(block) => {
-                    let addr = PhysAddr::new(block * BLOCK_SIZE);
-                    dut.fill(addr, Some(planaria_common::PrefetchOrigin::Slp));
-                    fills += 1;
+            let (Op::Access(block) | Op::Fill(block)) = *op;
+            let addr = PhysAddr::new(block * BLOCK_SIZE);
+            let origin = matches!(op, Op::Fill(_)).then_some(PrefetchOrigin::Slp);
+            if origin.is_none() {
+                accesses += 1;
+                if let AccessResult::Hit { first_use_of_prefetch } =
+                    dut.access_by(addr, AccessKind::Read, CPU)
+                {
+                    useful += u64::from(first_use_of_prefetch.is_some());
+                    continue;
                 }
             }
+            if !dut.contains(addr) {
+                fills += 1;
+                prefetch_fills += u64::from(origin.is_some());
+            }
+            let evicted = dut.fill_by(addr, origin, CPU);
+            polluting += u64::from(evicted.is_some_and(|e| e.was_unused_prefetch));
         }
         let s = dut.stats();
         prop_assert_eq!(s.demand_accesses(), accesses);
-        prop_assert!(s.useful_prefetches <= s.prefetch_fills);
-        prop_assert!(s.polluting_prefetches <= s.prefetch_fills);
-        prop_assert!(s.writebacks <= s.evictions);
-        prop_assert!(s.demand_fills + s.prefetch_fills <= fills);
+        prop_assert_eq!(s.fills, fills, "a duplicate fill is no fill");
+        // Each prefetched line is used once, evicted unused once, or still
+        // resident unused.
+        prop_assert!(useful + polluting <= prefetch_fills);
     }
 }

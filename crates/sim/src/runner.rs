@@ -193,6 +193,7 @@ impl RunReport {
     /// ```
     /// use planaria_sim::experiment::PrefetcherKind;
     /// use planaria_sim::runner::{Job, Runner};
+    /// use planaria_sim::EventKind;
     /// use planaria_trace::apps::AppId;
     ///
     /// let report = Runner::new(2).run(vec![
@@ -200,8 +201,9 @@ impl RunReport {
     ///     Job::grid_cell(AppId::Cfm, PrefetcherKind::NextLine, 3_000),
     /// ]);
     /// let merged = report.telemetry();
-    /// let per_cell: u64 = report.cells.iter().map(|c| c.telemetry.total_issued()).sum();
-    /// assert_eq!(merged.total_issued(), per_cell);
+    /// let issued = EventKind::PrefetchIssued;
+    /// let per_cell: u64 = report.cells.iter().map(|c| c.telemetry.count(issued)).sum();
+    /// assert_eq!(merged.count(issued), per_cell);
     /// ```
     pub fn telemetry(&self) -> TelemetryReport {
         let mut merged = TelemetryReport::new();

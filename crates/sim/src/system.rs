@@ -156,14 +156,14 @@ pub struct MemorySystem {
     scratch: Vec<PrefetchRequest>,
     /// Reusable DRAM-completion buffer (see [`MemorySystem::pump_dram`]).
     completions: Vec<Completion>,
-    /// System-side lifecycle telemetry (issued/filled/used/evicted/late);
-    /// the prefetcher carries its own handle for decision events.
+    /// System-side lifecycle telemetry (issued/filled/used/evicted/late/
+    /// filtered): the one ledger of prefetch outcomes, which the governor
+    /// samples and [`SimResult`]'s prefetch fields are read from. The
+    /// prefetcher carries its own handle for decision events.
     tel: Telemetry,
     // --- accumulated metrics ---
     latency_sum: f64,
     demand_count: u64,
-    late_prefetches: u64,
-    prefetches_filtered: u64,
     writebacks_dropped: u64,
     /// Demand latency accumulated per device (always integer-valued, so
     /// the per-device sums reproduce `latency_sum` exactly).
@@ -211,8 +211,6 @@ impl MemorySystem {
             tel: Telemetry::from_config(&cfg.telemetry),
             latency_sum: 0.0,
             demand_count: 0,
-            late_prefetches: 0,
-            prefetches_filtered: 0,
             writebacks_dropped: 0,
             device_lat: [0.0; DeviceId::COUNT],
             completion_log: None,
@@ -236,9 +234,10 @@ impl MemorySystem {
         let g = &mut self.governor_state;
         g.interval_accesses += 1;
         if g.interval_accesses >= gov.interval {
-            let stats = self.sc.stats();
-            let fills = stats.prefetch_fills - g.fills_at_start;
-            let useful = stats.useful_prefetches - g.useful_at_start;
+            let filled = self.tel.counting.count_of(EventKind::PrefetchFilled);
+            let used = self.tel.counting.count_of(EventKind::PrefetchUsed);
+            let fills = filled - g.fills_at_start;
+            let useful = used - g.useful_at_start;
             if fills >= gov.min_samples {
                 let accuracy = useful as f64 / fills as f64;
                 g.gated = accuracy < gov.low_accuracy;
@@ -246,8 +245,8 @@ impl MemorySystem {
             // Too few samples: keep the previous verdict (the probe stream
             // keeps feeding samples while gated).
             g.interval_accesses = 0;
-            g.fills_at_start = stats.prefetch_fills;
-            g.useful_at_start = stats.useful_prefetches;
+            g.fills_at_start = filled;
+            g.useful_at_start = used;
         }
         g.gated
     }
@@ -448,7 +447,6 @@ impl MemorySystem {
                     // Merge into the outstanding fill; a speculative fill
                     // becomes a (late) demand fill.
                     if let Some(o) = entry.origin.take() {
-                        self.late_prefetches += 1;
                         self.tel.lifecycle_for(
                             EventKind::PrefetchLate,
                             o,
@@ -502,7 +500,6 @@ impl MemorySystem {
                 || self.inflight.contains_key(&req.addr.block_number())
                 || self.queue.contains_block(req.addr)
             {
-                self.prefetches_filtered += 1;
                 self.tel.lifecycle_for(
                     EventKind::PrefetchFiltered,
                     req.origin,
@@ -625,7 +622,7 @@ impl MemorySystem {
     /// let sys = MemorySystem::new(cfg, PrefetcherKind::Planaria.build());
     /// let (result, report) = sys.run_stream_telemetry(&mut trace.stream(), 0.0);
     ///
-    /// // Lifecycle counters reconcile with the headline metrics.
+    /// // The issue count at enqueue matches the DRAM reads it executed.
     /// assert_eq!(report.count(EventKind::PrefetchIssued), result.traffic.prefetch_reads);
     /// // Full event capture was on, so the decision trace is populated.
     /// assert!(!report.events.is_empty());
@@ -717,8 +714,6 @@ impl MemorySystem {
         }
         self.latency_sum = 0.0;
         self.demand_count = 0;
-        self.late_prefetches = 0;
-        self.prefetches_filtered = 0;
         self.writebacks_dropped = 0;
         self.device_lat = [0.0; DeviceId::COUNT];
         self.governor_state = GovernorState::default();
@@ -754,19 +749,7 @@ impl MemorySystem {
         self.completions = buf;
         let tail_log = self.completion_log.take().unwrap_or_default();
 
-        // Merge prefetcher decision telemetry with the system's lifecycle
-        // telemetry: counters add; event streams interleave by cycle (the
-        // sort is stable and the simulation single-threaded, so the merged
-        // stream is deterministic).
         let mut telemetry = self.prefetcher.telemetry_report().unwrap_or_default();
-        let sys_tel = self.tel.report();
-        telemetry.counters.absorb(&sys_tel.counters);
-        telemetry.events_dropped += sys_tel.events_dropped;
-        if !sys_tel.events.is_empty() {
-            telemetry.events.extend(sys_tel.events);
-            telemetry.events.sort_by_key(|e| e.cycle);
-        }
-
         let cache = *self.sc.stats();
         let dram = self.dram.stats();
         let duration = dram
@@ -780,13 +763,17 @@ impl MemorySystem {
         debug_assert_eq!(dram.n_rd, dram.n_rd_demand + dram.n_rd_prefetch);
         let demand_reads = dram.n_rd_demand;
         let dram_energy = self.dram.energy_pj(duration);
-        let sc_energy = (cache.demand_accesses() + cache.demand_fills + cache.prefetch_fills)
-            as f64
-            * self.cfg.sc_access_pj;
+        let sc_energy = (cache.demand_accesses() + cache.fills) as f64 * self.cfg.sc_access_pj;
         let pf_energy = self.prefetcher.table_accesses() as f64 * self.cfg.table_access_pj;
         let total_energy = dram_energy + sc_energy + pf_energy;
         let amat =
             if self.demand_count == 0 { 0.0 } else { self.latency_sum / self.demand_count as f64 };
+        // Every prefetch outcome is read from the system's lifecycle ledger,
+        // the one place it was counted.
+        let ledger = self.tel.report();
+        let used = ledger.count(EventKind::PrefetchUsed);
+        let filled = ledger.count(EventKind::PrefetchFilled);
+        let ratio = |n: u64, d: u64| if d == 0 { 0.0 } else { n as f64 / d as f64 };
 
         let result = SimResult {
             workload: workload.to_string(),
@@ -799,14 +786,14 @@ impl MemorySystem {
                 prefetch_reads: dram.n_rd_prefetch,
                 writebacks: dram.n_wr,
             },
-            useful_prefetches: cache.useful_prefetches,
-            useful_slp: cache.useful_slp,
-            useful_tlp: cache.useful_tlp,
-            late_prefetches: self.late_prefetches,
-            polluting_prefetches: cache.polluting_prefetches,
-            prefetch_accuracy: cache.prefetch_accuracy(),
-            prefetch_coverage: cache.prefetch_coverage(),
-            prefetches_filtered: self.prefetches_filtered,
+            useful_prefetches: used,
+            useful_slp: ledger.by_origin(EventKind::PrefetchUsed, PrefetchOrigin::Slp),
+            useful_tlp: ledger.by_origin(EventKind::PrefetchUsed, PrefetchOrigin::Tlp),
+            late_prefetches: ledger.count(EventKind::PrefetchLate),
+            polluting_prefetches: ledger.count(EventKind::PrefetchEvictedUnused),
+            prefetch_accuracy: ratio(used, filled),
+            prefetch_coverage: ratio(used, used + cache.demand_misses),
+            prefetches_filtered: ledger.count(EventKind::PrefetchFiltered),
             writebacks_dropped: self.writebacks_dropped,
             duration_cycles: duration,
             dram_energy_pj: dram_energy,
@@ -831,6 +818,16 @@ impl MemorySystem {
                     .collect()
             },
         };
+
+        // Merge prefetcher decision telemetry with the system's lifecycle
+        // telemetry: counters add; event streams interleave by cycle (the
+        // sort is stable and the simulation single-threaded, so the merged
+        // stream is deterministic).
+        telemetry.absorb(&ledger);
+        if !ledger.events.is_empty() {
+            telemetry.events.extend(ledger.events);
+            telemetry.events.sort_by_key(|e| e.cycle);
+        }
         (result, dram, telemetry, tail_log)
     }
 }

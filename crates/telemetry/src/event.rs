@@ -99,6 +99,23 @@ impl EventKind {
         self as usize
     }
 
+    /// This kind's row in [`LIFECYCLE`], or `None` for a kind that is not
+    /// a lifecycle stage.
+    pub(crate) const fn stage(self) -> Option<usize> {
+        let row = self.index().wrapping_sub(EventKind::PrefetchIssued.index());
+        if row < LIFECYCLE.len() {
+            Some(row)
+        } else {
+            None
+        }
+    }
+
+    /// A lifecycle stage's export name: its label without `prefetch_`.
+    pub(crate) fn stage_name(self) -> &'static str {
+        let label = self.label();
+        label.strip_prefix("prefetch_").unwrap_or(label)
+    }
+
     /// Stable snake_case label (used in JSONL/CSV exports).
     pub const fn label(self) -> &'static str {
         match self {
@@ -126,6 +143,19 @@ impl EventKind {
         }
     }
 }
+
+/// The prefetch-lifecycle stages, in the row order of
+/// [`CountingSink`](crate::CountingSink)'s per-origin and per-device
+/// tables, which is also their JSONL and CSV order. Each stage also has a
+/// plain [`EventKind`] count; [`EventKind::PrefetchFiltered`] has only
+/// that.
+pub const LIFECYCLE: [EventKind; 5] = [
+    EventKind::PrefetchIssued,
+    EventKind::PrefetchFilled,
+    EventKind::PrefetchUsed,
+    EventKind::PrefetchEvictedUnused,
+    EventKind::PrefetchLate,
+];
 
 impl fmt::Display for EventKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -395,8 +425,9 @@ pub(crate) const fn origin_index(origin: PrefetchOrigin) -> usize {
     }
 }
 
-/// Number of distinct prefetch origins.
-pub(crate) const ORIGINS: usize = 3;
+/// Every prefetch origin, in counter-slot order (also the export order).
+pub(crate) const ORIGINS: [PrefetchOrigin; 3] =
+    [PrefetchOrigin::Slp, PrefetchOrigin::Tlp, PrefetchOrigin::Baseline];
 
 #[cfg(test)]
 mod tests {
@@ -416,6 +447,21 @@ mod tests {
         assert_eq!(labels.len(), EventKind::COUNT);
         for l in labels {
             assert!(l.chars().all(|c| c.is_ascii_lowercase() || c == '_'), "{l}");
+        }
+    }
+
+    #[test]
+    fn lifecycle_rows_and_origin_slots_follow_export_order() {
+        for (row, kind) in LIFECYCLE.iter().enumerate() {
+            assert_eq!(kind.stage(), Some(row), "{kind:?}");
+        }
+        let stages = EventKind::ALL.iter().filter(|k| k.stage().is_some()).count();
+        assert_eq!(stages, LIFECYCLE.len());
+        assert_eq!(EventKind::PrefetchFiltered.stage(), None);
+        let names = LIFECYCLE.map(EventKind::stage_name);
+        assert_eq!(names, ["issued", "filled", "used", "evicted_unused", "late"]);
+        for (slot, origin) in ORIGINS.iter().enumerate() {
+            assert_eq!(origin_index(*origin), slot, "{origin:?}");
         }
     }
 

@@ -23,28 +23,35 @@
 //! # Architecture
 //!
 //! Instrumented components own a [`Telemetry`] handle. The handle always
-//! feeds a [`CountingSink`] (per-[`EventKind`] and per-origin counters —
-//! a handful of integer increments per decision, cheap enough to leave on
+//! feeds a [`CountingSink`] (a count per [`EventKind`], plus each
+//! [`LIFECYCLE`] stage counted per origin and per device — a handful of
+//! integer increments per decision, cheap enough to leave on
 //! unconditionally) and, only when [`TelemetryConfig::events`] is set,
 //! additionally materialises full [`Event`] records into a bounded
-//! [`RingBufferSink`].
+//! [`RingBufferSink`]. The memory system's own sink is the one ledger of
+//! prefetch outcomes: the simulator's useful, late, polluting and
+//! filtered counts, accuracy and coverage are read from it.
 //!
 //! At the end of a run the handle condenses into a [`TelemetryReport`] —
 //! counters plus any captured events — which merges deterministically
-//! across experiment cells and exports as JSONL or CSV.
+//! across experiment cells, answers [`TelemetryReport::count`],
+//! [`TelemetryReport::by_origin`] and [`TelemetryReport::by_device`], and
+//! exports as JSONL or CSV.
 //!
 //! # Examples
 //!
 //! ```
 //! use planaria_telemetry::{EventKind, Telemetry, TelemetryConfig};
-//! use planaria_common::{Cycle, PrefetchOrigin};
+//! use planaria_common::{Cycle, DeviceId, PrefetchOrigin};
 //!
 //! // Event capture on (counting alone is always on).
 //! let mut tel = Telemetry::from_config(&TelemetryConfig::events());
-//! tel.lifecycle(EventKind::PrefetchIssued, PrefetchOrigin::Slp, 0x4000, Cycle::new(10));
+//! let (issued, slp, gpu) = (EventKind::PrefetchIssued, PrefetchOrigin::Slp, DeviceId::Gpu);
+//! tel.lifecycle_for(issued, slp, gpu, 0x4000, Cycle::new(10));
 //! let report = tel.report();
-//! assert_eq!(report.count(EventKind::PrefetchIssued), 1);
-//! assert_eq!(report.issued(PrefetchOrigin::Slp), 1);
+//! assert_eq!(report.count(issued), 1);
+//! assert_eq!(report.by_origin(issued, slp), 1);
+//! assert_eq!(report.by_device(issued, gpu), 1);
 //! assert_eq!(report.events.len(), 1);
 //! ```
 
@@ -52,6 +59,6 @@ mod event;
 mod report;
 mod sink;
 
-pub use event::{ArbitrationWinner, Event, EventData, EventKind, TransferReject};
+pub use event::{ArbitrationWinner, Event, EventData, EventKind, TransferReject, LIFECYCLE};
 pub use report::TelemetryReport;
-pub use sink::{CountingSink, DeviceLifecycle, RingBufferSink, Telemetry, TelemetryConfig};
+pub use sink::{CountingSink, RingBufferSink, Telemetry, TelemetryConfig};

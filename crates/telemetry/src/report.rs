@@ -5,12 +5,8 @@ use core::fmt::Write as _;
 use planaria_common::json;
 use planaria_common::{DeviceId, PrefetchOrigin};
 
-use crate::event::{origin_index, origin_label, Event, EventKind};
+use crate::event::{origin_index, origin_label, Event, EventKind, LIFECYCLE, ORIGINS};
 use crate::sink::CountingSink;
-
-/// Per-origin labels in export order (SLP, TLP, baseline).
-const ORIGIN_ORDER: [PrefetchOrigin; 3] =
-    [PrefetchOrigin::Slp, PrefetchOrigin::Tlp, PrefetchOrigin::Baseline];
 
 /// Aggregated telemetry for one simulation (or a deterministic merge of
 /// several): the full counter set, plus any captured events.
@@ -39,41 +35,18 @@ impl TelemetryReport {
         self.counters.count_of(kind)
     }
 
-    /// Prefetches issued by `origin`.
-    pub fn issued(&self, origin: PrefetchOrigin) -> u64 {
-        self.counters.issued[origin_index(origin)]
+    /// Count of the lifecycle stage `kind` for prefetches from `origin`
+    /// (0 for a kind outside [`LIFECYCLE`]).
+    pub fn by_origin(&self, kind: EventKind, origin: PrefetchOrigin) -> u64 {
+        kind.stage().map_or(0, |row| self.counters.by_origin[row][origin_index(origin)])
     }
 
-    /// Speculative fills that landed in the cache for `origin`.
-    pub fn filled(&self, origin: PrefetchOrigin) -> u64 {
-        self.counters.filled[origin_index(origin)]
-    }
-
-    /// First demand uses of a prefetched line for `origin`.
-    pub fn used(&self, origin: PrefetchOrigin) -> u64 {
-        self.counters.used[origin_index(origin)]
-    }
-
-    /// Prefetched lines evicted without any demand use for `origin`.
-    pub fn evicted_unused(&self, origin: PrefetchOrigin) -> u64 {
-        self.counters.evicted_unused[origin_index(origin)]
-    }
-
-    /// Demand misses that merged into an in-flight prefetch for `origin`.
-    pub fn late(&self, origin: PrefetchOrigin) -> u64 {
-        self.counters.late[origin_index(origin)]
-    }
-
-    /// Prefetches issued across all origins.
-    pub fn total_issued(&self) -> u64 {
-        self.counters.issued.iter().sum()
-    }
-
-    /// Prefetches issued on behalf of `device` (the device whose demand
-    /// access triggered them).
+    /// Count of the lifecycle stage `kind` attributed to `device` (0 for a
+    /// kind outside [`LIFECYCLE`]; see [`CountingSink`] for which device a
+    /// stage is charged to).
     ///
-    /// Summing over [`DeviceId::ALL`] reproduces [`Self::total_issued`]
-    /// exactly — every issue is attributed to exactly one device.
+    /// Summing over [`DeviceId::ALL`] reproduces [`Self::count`] exactly:
+    /// every stage step is attributed to exactly one device.
     ///
     /// # Examples
     ///
@@ -90,18 +63,14 @@ impl TelemetryReport {
     ///     Cycle::new(3),
     /// );
     /// let report = tel.report();
-    /// assert_eq!(report.issued_by(DeviceId::Npu), 1);
-    /// assert_eq!(report.issued_by(DeviceId::Gpu), 0);
-    /// let split: u64 = DeviceId::ALL.iter().map(|&d| report.issued_by(d)).sum();
-    /// assert_eq!(split, report.total_issued());
+    /// let issued = EventKind::PrefetchIssued;
+    /// assert_eq!(report.by_device(issued, DeviceId::Npu), 1);
+    /// assert_eq!(report.by_device(issued, DeviceId::Gpu), 0);
+    /// let split: u64 = DeviceId::ALL.iter().map(|&d| report.by_device(issued, d)).sum();
+    /// assert_eq!(split, report.count(issued));
     /// ```
-    pub fn issued_by(&self, device: DeviceId) -> u64 {
-        self.counters.per_device.issued[device.index()]
-    }
-
-    /// First demand uses of prefetched lines consumed by `device`.
-    pub fn used_by(&self, device: DeviceId) -> u64 {
-        self.counters.per_device.used[device.index()]
+    pub fn by_device(&self, kind: EventKind, device: DeviceId) -> u64 {
+        kind.stage().map_or(0, |row| self.counters.by_device[row][device.index()])
     }
 
     /// Merges another report's counters into this one (events are left
@@ -127,11 +96,12 @@ impl TelemetryReport {
     /// # Examples
     ///
     /// ```
-    /// use planaria_common::{Cycle, PrefetchOrigin};
+    /// use planaria_common::{Cycle, DeviceId, PrefetchOrigin};
     /// use planaria_telemetry::{EventKind, Telemetry, TelemetryConfig};
     ///
     /// let mut tel = Telemetry::from_config(&TelemetryConfig::events());
-    /// tel.lifecycle(EventKind::PrefetchIssued, PrefetchOrigin::Slp, 0x4000, Cycle::new(7));
+    /// let (slp, cpu) = (PrefetchOrigin::Slp, DeviceId::default());
+    /// tel.lifecycle_for(EventKind::PrefetchIssued, slp, cpu, 0x4000, Cycle::new(7));
     /// let report = tel.report();
     ///
     /// let jsonl = report.to_jsonl("demo");
@@ -165,13 +135,13 @@ impl TelemetryReport {
             let _ = write!(out, "\"{}\":{n}", kind.label());
         }
         out.push('}');
-        for (name, row) in self.lifecycle_rows() {
-            let _ = write!(out, ",\"{name}\":{{");
-            for (i, origin) in ORIGIN_ORDER.iter().enumerate() {
+        for (kind, row) in LIFECYCLE.iter().zip(&self.counters.by_origin) {
+            let _ = write!(out, ",\"{}\":{{", kind.stage_name());
+            for (i, (origin, n)) in ORIGINS.iter().zip(row).enumerate() {
                 if i > 0 {
                     out.push(',');
                 }
-                let _ = write!(out, "\"{}\":{}", origin_label(*origin), row[origin_index(*origin)]);
+                let _ = write!(out, "\"{}\":{n}", origin_label(*origin));
             }
             out.push('}');
         }
@@ -179,15 +149,7 @@ impl TelemetryReport {
         let mut first_dev = true;
         for device in DeviceId::ALL {
             let i = device.index();
-            let pd = &self.counters.per_device;
-            let cols = [
-                ("issued", pd.issued[i]),
-                ("filled", pd.filled[i]),
-                ("used", pd.used[i]),
-                ("evicted_unused", pd.evicted_unused[i]),
-                ("late", pd.late[i]),
-            ];
-            if cols.iter().all(|(_, n)| *n == 0) {
+            if self.counters.by_device.iter().all(|row| row[i] == 0) {
                 continue;
             }
             if !first_dev {
@@ -195,11 +157,11 @@ impl TelemetryReport {
             }
             first_dev = false;
             let _ = write!(out, "\"{}\":{{", device.label());
-            for (j, (name, n)) in cols.iter().enumerate() {
+            for (j, (kind, row)) in LIFECYCLE.iter().zip(&self.counters.by_device).enumerate() {
                 if j > 0 {
                     out.push(',');
                 }
-                let _ = write!(out, "\"{name}\":{n}");
+                let _ = write!(out, "\"{}\":{}", kind.stage_name(), row[i]);
             }
             out.push('}');
         }
@@ -209,7 +171,8 @@ impl TelemetryReport {
     }
 
     /// Serialises the counter set as CSV (`counter,value`, one row per
-    /// non-zero counter, lifecycle rows suffixed with the origin).
+    /// non-zero counter: kinds, then lifecycle stages suffixed with the
+    /// origin, then with the device).
     pub fn to_csv(&self) -> String {
         let mut out = String::from("counter,value\n");
         for kind in EventKind::ALL {
@@ -218,26 +181,18 @@ impl TelemetryReport {
                 let _ = writeln!(out, "{},{n}", kind.label());
             }
         }
-        for (name, row) in self.lifecycle_rows() {
-            for origin in ORIGIN_ORDER {
-                let n = row[origin_index(origin)];
-                if n != 0 {
-                    let _ = writeln!(out, "{name}_{},{n}", origin_label(origin));
+        for (kind, row) in LIFECYCLE.iter().zip(&self.counters.by_origin) {
+            for (origin, n) in ORIGINS.iter().zip(row) {
+                if *n != 0 {
+                    let _ = writeln!(out, "{}_{},{n}", kind.stage_name(), origin_label(*origin));
                 }
             }
         }
         for device in DeviceId::ALL {
-            let i = device.index();
-            let pd = &self.counters.per_device;
-            for (name, n) in [
-                ("issued", pd.issued[i]),
-                ("filled", pd.filled[i]),
-                ("used", pd.used[i]),
-                ("evicted_unused", pd.evicted_unused[i]),
-                ("late", pd.late[i]),
-            ] {
+            for (kind, row) in LIFECYCLE.iter().zip(&self.counters.by_device) {
+                let n = row[device.index()];
                 if n != 0 {
-                    let _ = writeln!(out, "{name}_{},{n}", device.label());
+                    let _ = writeln!(out, "{}_{},{n}", kind.stage_name(), device.label());
                 }
             }
         }
@@ -252,15 +207,9 @@ impl TelemetryReport {
     pub fn summary_table(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "{:<28} {:>12} {:>12} {:>12}", "lifecycle", "slp", "tlp", "baseline");
-        for (name, row) in self.lifecycle_rows() {
-            let _ = writeln!(
-                out,
-                "{:<28} {:>12} {:>12} {:>12}",
-                name,
-                row[origin_index(PrefetchOrigin::Slp)],
-                row[origin_index(PrefetchOrigin::Tlp)],
-                row[origin_index(PrefetchOrigin::Baseline)]
-            );
+        for (kind, [slp, tlp, baseline]) in LIFECYCLE.iter().zip(&self.counters.by_origin) {
+            let name = kind.stage_name();
+            let _ = writeln!(out, "{name:<28} {slp:>12} {tlp:>12} {baseline:>12}");
         }
         let _ = writeln!(out);
         let _ = writeln!(out, "{:<28} {:>12}", "decision counters", "count");
@@ -271,16 +220,6 @@ impl TelemetryReport {
             }
         }
         out
-    }
-
-    fn lifecycle_rows(&self) -> [(&'static str, &[u64; 3]); 5] {
-        [
-            ("issued", &self.counters.issued),
-            ("filled", &self.counters.filled),
-            ("used", &self.counters.used),
-            ("evicted_unused", &self.counters.evicted_unused),
-            ("late", &self.counters.late),
-        ]
     }
 }
 
@@ -296,8 +235,21 @@ mod tests {
         tel.emit(EventKind::SlpFtAllocate, Cycle::new(3), 1, || EventData::SlpFtAllocate {
             page: 42,
         });
-        tel.lifecycle(EventKind::PrefetchIssued, PrefetchOrigin::Slp, 0x1040, Cycle::new(4));
-        tel.lifecycle(EventKind::PrefetchIssued, PrefetchOrigin::Tlp, 0x2040, Cycle::new(5));
+        let cpu = DeviceId::default();
+        tel.lifecycle_for(
+            EventKind::PrefetchIssued,
+            PrefetchOrigin::Slp,
+            cpu,
+            0x1040,
+            Cycle::new(4),
+        );
+        tel.lifecycle_for(
+            EventKind::PrefetchIssued,
+            PrefetchOrigin::Tlp,
+            cpu,
+            0x2040,
+            Cycle::new(5),
+        );
         tel.report()
     }
 
@@ -325,7 +277,8 @@ mod tests {
         let b = sample_report();
         let events_before = a.events.len();
         a.absorb(&b);
-        assert_eq!(a.issued(PrefetchOrigin::Slp), 2);
+        assert_eq!(a.by_origin(EventKind::PrefetchIssued, PrefetchOrigin::Slp), 2);
+        assert_eq!(a.by_device(EventKind::PrefetchIssued, DeviceId::default()), 4);
         assert_eq!(a.count(EventKind::SlpFtAllocate), 2);
         assert_eq!(a.events.len(), events_before);
     }

@@ -4,99 +4,29 @@ use std::collections::VecDeque;
 
 use planaria_common::{Cycle, DeviceId, PrefetchOrigin};
 
-use crate::event::{origin_index, Event, EventData, EventKind, ORIGINS};
+use crate::event::{origin_index, Event, EventData, EventKind, LIFECYCLE, ORIGINS};
 use crate::report::TelemetryReport;
 
-/// Per-device prefetch-lifecycle counters, one column per [`DeviceId`]
-/// (indexed by [`DeviceId::index`]).
+/// Always-on aggregation sink and the one ledger of prefetch outcomes: a
+/// fire count per [`EventKind`], plus each lifecycle stage counted per
+/// origin and per device. Costs a few integer increments per decision.
 ///
-/// Each lifecycle step is attributed to a device: *issued*, *filtered* and
-/// *late* to the device whose demand access triggered the decision, *used*
-/// to the device whose demand hit consumed the line, *filled* and
-/// *evicted-unused* to the device that triggered the original prefetch.
-/// Every bump is paired with a per-origin bump in [`CountingSink`], so
-/// summing a row over devices reproduces the per-origin total summed over
-/// origins (the conservation invariant `tests/closed_loop.rs` asserts).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DeviceLifecycle {
-    /// Prefetches issued, by trigger device.
-    pub issued: [u64; DeviceId::COUNT],
-    /// Speculative fills that landed, by trigger device.
-    pub filled: [u64; DeviceId::COUNT],
-    /// First demand uses of prefetched lines, by consuming device.
-    pub used: [u64; DeviceId::COUNT],
-    /// Prefetched lines evicted unused, by trigger device.
-    pub evicted_unused: [u64; DeviceId::COUNT],
-    /// Demand misses that merged into an in-flight prefetch, by missing
-    /// device.
-    pub late: [u64; DeviceId::COUNT],
-}
-
-impl DeviceLifecycle {
-    /// All counters at zero.
-    pub const fn new() -> Self {
-        DeviceLifecycle {
-            issued: [0; DeviceId::COUNT],
-            filled: [0; DeviceId::COUNT],
-            used: [0; DeviceId::COUNT],
-            evicted_unused: [0; DeviceId::COUNT],
-            late: [0; DeviceId::COUNT],
-        }
-    }
-
-    fn bump(&mut self, kind: EventKind, device: DeviceId) {
-        let i = device.index();
-        match kind {
-            EventKind::PrefetchIssued => self.issued[i] += 1,
-            EventKind::PrefetchFilled => self.filled[i] += 1,
-            EventKind::PrefetchUsed => self.used[i] += 1,
-            EventKind::PrefetchEvictedUnused => self.evicted_unused[i] += 1,
-            EventKind::PrefetchLate => self.late[i] += 1,
-            _ => {}
-        }
-    }
-
-    fn absorb(&mut self, other: &DeviceLifecycle) {
-        let pairs = [
-            (&mut self.issued, &other.issued),
-            (&mut self.filled, &other.filled),
-            (&mut self.used, &other.used),
-            (&mut self.evicted_unused, &other.evicted_unused),
-            (&mut self.late, &other.late),
-        ];
-        for (a, b) in pairs {
-            for (x, y) in a.iter_mut().zip(b.iter()) {
-                *x += y;
-            }
-        }
-    }
-}
-
-impl Default for DeviceLifecycle {
-    fn default() -> Self {
-        DeviceLifecycle::new()
-    }
-}
-
-/// Always-on aggregation sink: per-[`EventKind`] counters plus per-origin
-/// prefetch-lifecycle counters. Costs a few integer increments per decision.
+/// The two tables have one row per stage, in [`LIFECYCLE`] order. Each
+/// stage is attributed to a device: *issued* and *late* to the device
+/// whose demand access triggered the decision, *used* to the device whose
+/// demand hit consumed the line, *filled* and *evicted-unused* to the
+/// device that triggered the original prefetch. Every stage step bumps one
+/// cell of each table, so a row summed over origins, a row summed over
+/// devices and the stage's kind count are always equal.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CountingSink {
     /// Fire count per [`EventKind`], indexed by [`EventKind::index`].
     pub kinds: [u64; EventKind::COUNT],
-    /// Prefetches issued, per origin (SLP / TLP / baseline).
-    pub issued: [u64; ORIGINS],
-    /// Speculative fills that landed in the cache, per origin.
-    pub filled: [u64; ORIGINS],
-    /// First demand uses of a prefetched line, per origin.
-    pub used: [u64; ORIGINS],
-    /// Prefetched lines evicted without any demand use, per origin.
-    pub evicted_unused: [u64; ORIGINS],
-    /// Demand misses that merged into an in-flight prefetch, per origin.
-    pub late: [u64; ORIGINS],
-    /// The same five lifecycle counters broken down per device instead of
-    /// per origin (fed by [`Telemetry::lifecycle_for`]).
-    pub per_device: DeviceLifecycle,
+    /// Lifecycle counts per stage and origin (SLP, TLP, baseline).
+    pub by_origin: [[u64; ORIGINS.len()]; LIFECYCLE.len()],
+    /// Lifecycle counts per stage and device, indexed by
+    /// [`DeviceId::index`].
+    pub by_device: [[u64; DeviceId::COUNT]; LIFECYCLE.len()],
 }
 
 impl CountingSink {
@@ -104,12 +34,8 @@ impl CountingSink {
     pub const fn new() -> Self {
         CountingSink {
             kinds: [0; EventKind::COUNT],
-            issued: [0; ORIGINS],
-            filled: [0; ORIGINS],
-            used: [0; ORIGINS],
-            evicted_unused: [0; ORIGINS],
-            late: [0; ORIGINS],
-            per_device: DeviceLifecycle::new(),
+            by_origin: [[0; ORIGINS.len()]; LIFECYCLE.len()],
+            by_device: [[0; DeviceId::COUNT]; LIFECYCLE.len()],
         }
     }
 
@@ -124,39 +50,31 @@ impl CountingSink {
         self.kinds[kind.index()]
     }
 
-    fn bump_lifecycle(&mut self, kind: EventKind, origin: PrefetchOrigin) {
-        let i = origin_index(origin);
-        match kind {
-            EventKind::PrefetchIssued => self.issued[i] += 1,
-            EventKind::PrefetchFilled => self.filled[i] += 1,
-            EventKind::PrefetchUsed => self.used[i] += 1,
-            EventKind::PrefetchEvictedUnused => self.evicted_unused[i] += 1,
-            EventKind::PrefetchLate => self.late[i] += 1,
-            _ => {}
+    /// Counts `kind` and, for a lifecycle stage, its origin and device
+    /// cells.
+    #[inline]
+    fn count_step(&mut self, kind: EventKind, origin: PrefetchOrigin, device: DeviceId) {
+        self.count(kind);
+        if let Some(row) = kind.stage() {
+            self.by_origin[row][origin_index(origin)] += 1;
+            self.by_device[row][device.index()] += 1;
         }
+    }
+
+    /// Every counter in a fixed order: `kinds`, then the `by_origin` rows,
+    /// then the `by_device` rows.
+    pub fn words(&self) -> impl Iterator<Item = u64> + '_ {
+        let (origin, device) = (self.by_origin.as_flattened(), self.by_device.as_flattened());
+        self.kinds.iter().chain(origin).chain(device).copied()
     }
 
     /// Adds every counter of `other` into `self` (deterministic merge).
     pub fn absorb(&mut self, other: &CountingSink) {
-        for (a, b) in self.kinds.iter_mut().zip(other.kinds.iter()) {
+        let (origin, device) =
+            (self.by_origin.as_flattened_mut(), self.by_device.as_flattened_mut());
+        for (a, b) in self.kinds.iter_mut().chain(origin).chain(device).zip(other.words()) {
             *a += b;
         }
-        for (a, b) in self.issued.iter_mut().zip(other.issued.iter()) {
-            *a += b;
-        }
-        for (a, b) in self.filled.iter_mut().zip(other.filled.iter()) {
-            *a += b;
-        }
-        for (a, b) in self.used.iter_mut().zip(other.used.iter()) {
-            *a += b;
-        }
-        for (a, b) in self.evicted_unused.iter_mut().zip(other.evicted_unused.iter()) {
-            *a += b;
-        }
-        for (a, b) in self.late.iter_mut().zip(other.late.iter()) {
-            *a += b;
-        }
-        self.per_device.absorb(&other.per_device);
     }
 }
 
@@ -301,18 +219,10 @@ impl Telemetry {
         }
     }
 
-    /// Records a prefetch-lifecycle step attributed to the default device:
-    /// bumps the per-origin counter and, when event capture is on, a
-    /// [`EventData::Lifecycle`] event. Prefer [`Telemetry::lifecycle_for`]
-    /// when the responsible device is known.
-    #[inline]
-    pub fn lifecycle(&mut self, kind: EventKind, origin: PrefetchOrigin, addr: u64, cycle: Cycle) {
-        self.lifecycle_for(kind, origin, DeviceId::default(), addr, cycle);
-    }
-
     /// Records a prefetch-lifecycle step attributed to `device`: bumps the
-    /// per-origin *and* per-device counters and, when event capture is on,
-    /// a [`EventData::Lifecycle`] event.
+    /// kind counter, and for the five [`LIFECYCLE`] stages the per-origin
+    /// and per-device cells too; when event capture is on, also records a
+    /// [`EventData::Lifecycle`] event.
     ///
     /// # Examples
     ///
@@ -328,8 +238,10 @@ impl Telemetry {
     ///     0x4000,
     ///     Cycle::new(7),
     /// );
-    /// assert_eq!(tel.counting.per_device.issued[DeviceId::Gpu.index()], 1);
-    /// assert_eq!(tel.counting.issued.iter().sum::<u64>(), 1);
+    /// let report = tel.report();
+    /// assert_eq!(report.by_device(EventKind::PrefetchIssued, DeviceId::Gpu), 1);
+    /// assert_eq!(report.by_origin(EventKind::PrefetchIssued, PrefetchOrigin::Slp), 1);
+    /// assert_eq!(report.count(EventKind::PrefetchIssued), 1);
     /// ```
     #[inline]
     pub fn lifecycle_for(
@@ -340,9 +252,7 @@ impl Telemetry {
         addr: u64,
         cycle: Cycle,
     ) {
-        self.counting.count(kind);
-        self.counting.bump_lifecycle(kind, origin);
-        self.counting.per_device.bump(kind, device);
+        self.counting.count_step(kind, origin, device);
         if let Some(ring) = &mut self.events {
             let channel = planaria_common::PhysAddr::new(addr).channel().as_usize() as u8;
             ring.record(&Event {
@@ -437,14 +347,21 @@ mod tests {
     #[test]
     fn lifecycle_bumps_origin_counters() {
         let mut tel = Telemetry::counting_only();
-        tel.lifecycle(EventKind::PrefetchIssued, PrefetchOrigin::Slp, 0x40, Cycle::new(1));
-        tel.lifecycle(EventKind::PrefetchIssued, PrefetchOrigin::Tlp, 0x80, Cycle::new(2));
-        tel.lifecycle(EventKind::PrefetchUsed, PrefetchOrigin::Slp, 0x40, Cycle::new(3));
+        let cpu = DeviceId::default();
+        tel.lifecycle_for(EventKind::PrefetchIssued, PrefetchOrigin::Slp, cpu, 0x40, Cycle::new(1));
+        tel.lifecycle_for(EventKind::PrefetchIssued, PrefetchOrigin::Tlp, cpu, 0x80, Cycle::new(2));
+        tel.lifecycle_for(EventKind::PrefetchUsed, PrefetchOrigin::Slp, cpu, 0x40, Cycle::new(3));
+        tel.lifecycle_for(EventKind::PrefetchFiltered, PrefetchOrigin::Slp, cpu, 0, Cycle::new(4));
         let report = tel.report();
-        assert_eq!(report.issued(PrefetchOrigin::Slp), 1);
-        assert_eq!(report.issued(PrefetchOrigin::Tlp), 1);
-        assert_eq!(report.used(PrefetchOrigin::Slp), 1);
-        assert_eq!(report.used(PrefetchOrigin::Tlp), 0);
+        assert_eq!(report.by_origin(EventKind::PrefetchIssued, PrefetchOrigin::Slp), 1);
+        assert_eq!(report.by_origin(EventKind::PrefetchIssued, PrefetchOrigin::Tlp), 1);
+        assert_eq!(report.by_origin(EventKind::PrefetchUsed, PrefetchOrigin::Slp), 1);
+        assert_eq!(report.by_origin(EventKind::PrefetchUsed, PrefetchOrigin::Tlp), 0);
+        assert_eq!(report.by_device(EventKind::PrefetchIssued, cpu), 2);
+        // Filtering is a kind count only: no lifecycle row holds it.
+        assert_eq!(report.count(EventKind::PrefetchFiltered), 1);
+        assert_eq!(report.by_origin(EventKind::PrefetchFiltered, PrefetchOrigin::Slp), 0);
+        assert_eq!(report.counters.by_origin.as_flattened().iter().sum::<u64>(), 3);
     }
 
     #[test]

@@ -7,8 +7,8 @@ use planaria_common::{DeviceId, PrefetchOrigin};
 use planaria_sim::experiment::PrefetcherKind;
 use planaria_sim::runner::{Job, Runner};
 use planaria_sim::{
-    ClosedLoopReport, MemorySystem, SimResult, SystemConfig, TelemetryConfig, TelemetryReport,
-    TrafficConfig, TrafficModel,
+    ClosedLoopReport, EventKind, MemorySystem, SimResult, SystemConfig, TelemetryConfig,
+    TelemetryReport, TrafficConfig, TrafficModel,
 };
 use planaria_trace::apps::{profile, AppId};
 use planaria_trace::Trace;
@@ -79,20 +79,21 @@ fn per_device_cache_rows_conserve_aggregates() {
 
     // Issued prefetches: per-device telemetry rows sum to the per-origin
     // sum, which equals DRAM prefetch reads (the fig9 accounting).
-    let by_device: u64 = DeviceId::ALL.iter().map(|&d| report.issued_by(d)).sum();
-    let by_origin = report.issued(PrefetchOrigin::Slp)
-        + report.issued(PrefetchOrigin::Tlp)
-        + report.issued(PrefetchOrigin::Baseline);
+    let origins = [PrefetchOrigin::Slp, PrefetchOrigin::Tlp, PrefetchOrigin::Baseline];
+    let split = |kind: EventKind| -> (u64, u64) {
+        let by_device = DeviceId::ALL.iter().map(|&d| report.by_device(kind, d)).sum();
+        let by_origin = origins.iter().map(|&o| report.by_origin(kind, o)).sum();
+        (by_device, by_origin)
+    };
+    let (by_device, by_origin) = split(EventKind::PrefetchIssued);
     assert_eq!(by_device, by_origin, "issued: device split vs origin split");
     assert_eq!(by_device, result.traffic.prefetch_reads);
     assert!(by_device > 0, "Planaria must prefetch on HI3");
 
     // Used prefetches: the device split conserves the fig9 SLP/TLP split.
-    let used_by_device: u64 = DeviceId::ALL.iter().map(|&d| report.used_by(d)).sum();
-    assert_eq!(
-        used_by_device,
-        result.useful_slp + result.useful_tlp + report.used(PrefetchOrigin::Baseline)
-    );
+    let (used_by_device, used_by_origin) = split(EventKind::PrefetchUsed);
+    assert_eq!(used_by_device, used_by_origin, "used: device split vs origin split");
+    assert_eq!(used_by_device, result.useful_prefetches);
 }
 
 #[test]

@@ -188,15 +188,8 @@ fn fold_closed(result: &SimResult, report: &ClosedLoopReport) -> u64 {
 }
 
 fn fold_counters(result: &SimResult, telemetry: &TelemetryReport) -> u64 {
-    let c = &telemetry.counters;
-    let d = &c.per_device;
     let mut h = Fold(result.fingerprint());
-    for row in [&c.kinds[..], &c.issued, &c.filled, &c.used, &c.evicted_unused, &c.late] {
-        h.all(row);
-    }
-    for row in [&d.issued, &d.filled, &d.used, &d.evicted_unused, &d.late] {
-        h.all(row);
-    }
+    h.all(&telemetry.counters.words().collect::<Vec<_>>());
     h.0
 }
 

@@ -4,7 +4,7 @@
 
 use planaria_common::json;
 use planaria_serve::{DeviceSpec, ServeConfig, ServedDevice, Service, SNAPSHOT_SCHEMA};
-use planaria_sim::{MemorySystem, PrefetcherKind, TrafficConfig, TrafficModel};
+use planaria_sim::{EventKind, MemorySystem, PrefetcherKind, TrafficConfig, TrafficModel};
 use planaria_trace::apps::AppId;
 
 /// A small spec that exercises the full Planaria stack quickly.
@@ -151,25 +151,15 @@ fn shard_telemetry_merge_conserves_lifecycle_counters() {
     // the same counter in the shard-merged telemetry: merging conserves,
     // it never double-counts or loses.
     let merged = report.merged_telemetry();
-    for origin in 0..3 {
-        let issued: u64 =
-            report.device_reports.iter().map(|r| r.telemetry.counters.issued[origin]).sum();
-        let filled: u64 =
-            report.device_reports.iter().map(|r| r.telemetry.counters.filled[origin]).sum();
-        let used: u64 =
-            report.device_reports.iter().map(|r| r.telemetry.counters.used[origin]).sum();
-        let evicted: u64 =
-            report.device_reports.iter().map(|r| r.telemetry.counters.evicted_unused[origin]).sum();
-        let late: u64 =
-            report.device_reports.iter().map(|r| r.telemetry.counters.late[origin]).sum();
-        assert_eq!(merged.counters.issued[origin], issued);
-        assert_eq!(merged.counters.filled[origin], filled);
-        assert_eq!(merged.counters.used[origin], used);
-        assert_eq!(merged.counters.evicted_unused[origin], evicted);
-        assert_eq!(merged.counters.late[origin], late);
+    let mut summed: Vec<u64> = merged.counters.words().map(|_| 0).collect();
+    for r in &report.device_reports {
+        for (total, n) in summed.iter_mut().zip(r.telemetry.counters.words()) {
+            *total += n;
+        }
     }
+    assert!(merged.counters.words().eq(summed), "merged counters must sum the devices'");
     assert!(
-        merged.counters.issued.iter().sum::<u64>() > 0,
+        merged.count(EventKind::PrefetchIssued) > 0,
         "Planaria devices must actually issue prefetches in this workload"
     );
 }
