@@ -35,6 +35,13 @@ check_rejects_broken() {
 if [[ "${1:-}" != "fast" ]]; then
     step "cargo build --release"
     cargo build --release --workspace
+
+    step "result oracle (release build)"
+    # tests/fingerprints.rs pins every kind x app open loop plus the closed,
+    # warmup and DRAM-pressure cells, but the debug `cargo test` below is
+    # its only other run, and perfbench's pinned runs cover just three
+    # workloads. Optimised code must produce the same digests.
+    cargo test --release -q -p planaria-sim --test fingerprints
 fi
 
 step "cargo test -q"

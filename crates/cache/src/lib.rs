@@ -12,8 +12,7 @@
 //! * pluggable replacement policies ([`ReplacementKind`]): LRU, FIFO,
 //!   2-bit SRRIP, bimodal BRRIP, set-dueling DRRIP and deterministic
 //!   pseudo-random — used by the paper's "better replacement doesn't fix
-//!   the SC" ablation;
-//! * a bounded, deduplicating [`PrefetchQueue`].
+//!   the SC" ablation.
 //!
 //! # Examples
 //!
@@ -34,12 +33,10 @@
 
 mod cache;
 mod config;
-mod queue;
 mod replacement;
 mod stats;
 
 pub use cache::{AccessResult, EvictedLine, SetAssocCache};
 pub use config::{CacheConfig, ConfigError};
-pub use queue::PrefetchQueue;
 pub use replacement::ReplacementKind;
 pub use stats::{CacheStats, DeviceCacheStats};

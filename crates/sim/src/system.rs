@@ -1,6 +1,8 @@
 //! The memory-system event loop.
 
-use planaria_cache::{AccessResult, CacheConfig, PrefetchQueue, SetAssocCache};
+use std::collections::VecDeque;
+
+use planaria_cache::{AccessResult, CacheConfig, SetAssocCache};
 use planaria_common::{Cycle, DeviceId, MemAccess, PhysAddr, PrefetchOrigin, PrefetchRequest};
 use planaria_core::Prefetcher;
 use planaria_dram::{Completion, DramConfig, MemoryController, Priority};
@@ -50,8 +52,6 @@ pub struct SystemConfig {
     pub dram: DramConfig,
     /// SC lookup/hit latency in cycles.
     pub sc_hit_latency: u64,
-    /// Prefetch-queue capacity (Figure 1's staging queue).
-    pub prefetch_queue_cap: usize,
     /// Energy of one SC data access (pJ) — demand hits and all fills.
     pub sc_access_pj: f64,
     /// Energy of one prefetcher metadata-table access (pJ).
@@ -71,7 +71,6 @@ impl Default for SystemConfig {
             cache: CacheConfig::system_cache(),
             dram: DramConfig::lpddr4(),
             sc_hit_latency: 30,
-            prefetch_queue_cap: 64,
             sc_access_pj: 500.0,
             table_access_pj: 15.0,
             clock_hz: 1.6e9,
@@ -130,10 +129,17 @@ impl WaiterList {
     }
 }
 
+/// Capacity of the prefetch queue (Figure 1's staging queue in front of
+/// the memory controller); a request that finds it full is dropped.
+const PREFETCH_QUEUE_CAP: usize = 64;
+
+/// One outstanding fill, or a staged prefetch not yet sent to DRAM.
 #[derive(Debug, Clone)]
 struct Inflight {
     /// `Some(origin)` while the outstanding fill is still speculative.
     origin: Option<PrefetchOrigin>,
+    /// Staged in the prefetch queue: not yet sent, so nothing merges in.
+    queued: bool,
     /// Demand accesses (arrival cycle, device index) waiting on this fill.
     waiters: WaiterList,
     /// A waiting demand was a write: the fill must land dirty
@@ -150,8 +156,9 @@ pub struct MemorySystem {
     sc: SetAssocCache,
     dram: MemoryController,
     prefetcher: Box<dyn Prefetcher>,
-    queue: PrefetchQueue,
-    /// Outstanding fills keyed by block number.
+    /// The prefetch queue: staged addresses in FIFO order.
+    queue: VecDeque<PhysAddr>,
+    /// Outstanding fills and staged prefetches, keyed by block number.
     inflight: FastHashMap<u64, Inflight>,
     scratch: Vec<PrefetchRequest>,
     /// Reusable DRAM-completion buffer (see [`MemorySystem::pump_dram`]).
@@ -204,7 +211,7 @@ impl MemorySystem {
             sc: SetAssocCache::new(cfg.cache),
             dram: MemoryController::new(cfg.dram),
             prefetcher,
-            queue: PrefetchQueue::new(cfg.prefetch_queue_cap),
+            queue: VecDeque::new(),
             inflight: FastHashMap::default(),
             scratch: Vec::new(),
             completions: Vec::new(),
@@ -443,36 +450,44 @@ impl MemorySystem {
                 }
             }
             AccessResult::Miss => {
-                if let Some(entry) = self.inflight.get_mut(&block_addr.block_number()) {
-                    // Merge into the outstanding fill; a speculative fill
-                    // becomes a (late) demand fill.
-                    if let Some(o) = entry.origin.take() {
-                        self.tel.lifecycle_for(
-                            EventKind::PrefetchLate,
-                            o,
-                            device,
-                            block_addr.as_u64(),
-                            now,
+                let block = block_addr.block_number();
+                match self.inflight.get_mut(&block) {
+                    Some(entry) if !entry.queued => {
+                        // Merge into the outstanding fill; a speculative
+                        // fill becomes a (late) demand fill.
+                        if let Some(o) = entry.origin.take() {
+                            self.tel.lifecycle_for(
+                                EventKind::PrefetchLate,
+                                o,
+                                device,
+                                block_addr.as_u64(),
+                                now,
+                            );
+                        }
+                        entry.waiters.push(now, dev_idx);
+                        entry.wrote |= access.kind.is_write();
+                    }
+                    staged => {
+                        // A demand overtakes a staged prefetch and
+                        // overwrites its entry below.
+                        if staged.is_some() {
+                            self.queue.retain(|a| a.block_number() != block);
+                        }
+                        let now = self.make_room(block_addr, now, buf);
+                        self.dram
+                            .try_enqueue(block_addr, false, Priority::Demand, now)
+                            .expect("room was made");
+                        self.inflight.insert(
+                            block,
+                            Inflight {
+                                origin: None,
+                                queued: false,
+                                waiters: WaiterList::one(access.cycle, dev_idx),
+                                wrote: access.kind.is_write(),
+                                device: dev_idx,
+                            },
                         );
                     }
-                    entry.waiters.push(now, dev_idx);
-                    entry.wrote |= access.kind.is_write();
-                } else {
-                    // A queued-but-unissued prefetch is superseded.
-                    self.queue.cancel(block_addr);
-                    let now = self.make_room(block_addr, now, buf);
-                    self.dram
-                        .try_enqueue(block_addr, false, Priority::Demand, now)
-                        .expect("room was made");
-                    self.inflight.insert(
-                        block_addr.block_number(),
-                        Inflight {
-                            origin: None,
-                            waiters: WaiterList::one(access.cycle, dev_idx),
-                            wrote: access.kind.is_write(),
-                            device: dev_idx,
-                        },
-                    );
                 }
             }
         }
@@ -496,10 +511,9 @@ impl MemorySystem {
             });
         }
         for req in scratch.drain(..) {
-            if self.sc.contains(req.addr)
-                || self.inflight.contains_key(&req.addr.block_number())
-                || self.queue.contains_block(req.addr)
-            {
+            // Already cached, in flight or staged?
+            let block = req.addr.block_number();
+            if self.sc.contains(req.addr) || self.inflight.contains_key(&block) {
                 self.tel.lifecycle_for(
                     EventKind::PrefetchFiltered,
                     req.origin,
@@ -509,55 +523,43 @@ impl MemorySystem {
                 );
                 continue;
             }
-            self.queue.push(req);
+            if self.queue.len() < PREFETCH_QUEUE_CAP {
+                self.queue.push_back(req.addr);
+                self.inflight.insert(
+                    block,
+                    Inflight {
+                        origin: Some(req.origin),
+                        queued: true,
+                        waiters: WaiterList::default(),
+                        wrote: false,
+                        device: req.device.index() as u8,
+                    },
+                );
+            }
         }
 
         self.issue_staged(now);
         was_hit
     }
 
-    /// Drains staged prefetches into whatever channel room exists,
-    /// enqueueing them at `now`.
+    /// Sends staged prefetches to DRAM in FIFO order, enqueueing them at
+    /// `now`, until the head's channel is full: the head keeps its place
+    /// (head-of-line), so the speculative stream never starves a channel
+    /// of queue slots.
     fn issue_staged(&mut self, now: Cycle) {
-        while let Some(req) = self.next_issuable() {
-            self.dram.try_enqueue(req.addr, false, Priority::Prefetch, now).expect("room checked");
-            self.inflight.insert(
-                req.addr.block_number(),
-                Inflight {
-                    origin: Some(req.origin),
-                    waiters: WaiterList::default(),
-                    wrote: false,
-                    device: req.device.index() as u8,
-                },
-            );
-            self.tel.lifecycle_for(
-                EventKind::PrefetchIssued,
-                req.origin,
-                req.device,
-                req.addr.as_u64(),
-                now,
-            );
-        }
-    }
-
-    /// Pops the next prefetch that should actually go to DRAM. Entries that
-    /// became stale while queued (block filled meanwhile) are discarded;
-    /// a full target channel stops draining (FIFO head-of-line — the
-    /// speculative stream must not starve any channel of queue slots).
-    fn next_issuable(&mut self) -> Option<PrefetchRequest> {
-        loop {
-            let head = *self.queue.peek()?;
-            if self.sc.contains(head.addr) || self.inflight.contains_key(&head.addr.block_number())
-            {
-                self.queue.pop(); // stale: already present or being fetched
-                continue;
+        while let Some(&addr) = self.queue.front() {
+            if !self.dram.has_room_for(addr) {
+                return;
             }
-            if !self.dram.has_room_for(head.addr) {
-                // Head keeps its place (it was only peeked, so the dedup
-                // set and FIFO order are untouched).
-                return None;
-            }
-            return self.queue.pop();
+            self.queue.pop_front();
+            // Only its own fill, after this send, can cache a staged block.
+            debug_assert!(!self.sc.contains(addr), "a queued block is never cached");
+            let entry = self.inflight.get_mut(&addr.block_number()).expect("staged entry");
+            entry.queued = false;
+            let origin = entry.origin.expect("a staged prefetch is speculative");
+            let device = DeviceId::from_index(entry.device as usize);
+            self.dram.try_enqueue(addr, false, Priority::Prefetch, now).expect("room checked");
+            self.tel.lifecycle_for(EventKind::PrefetchIssued, origin, device, addr.as_u64(), now);
         }
     }
 
@@ -1059,10 +1061,10 @@ mod tests {
     }
 
     #[test]
-    fn unbounded_queues_grow_on_demand() {
-        // `usize::MAX` spells "unbounded" for both queue bounds; neither
-        // may be allocated up front.
-        let mut cfg = SystemConfig { prefetch_queue_cap: usize::MAX, ..SystemConfig::default() };
+    fn unbounded_dram_queue_grows_on_demand() {
+        // `usize::MAX` spells "unbounded" for the DRAM queue depth; the
+        // queue must not be allocated up front.
+        let mut cfg = SystemConfig::default();
         cfg.dram.queue_depth = usize::MAX;
         cfg.dram.validate().expect("an unbounded DRAM queue is a valid configuration");
         let sys = MemorySystem::new(cfg, PrefetcherKind::Planaria.build());

@@ -8,7 +8,12 @@
 //! * closed loop ([`TrafficConfig::new`]`(2)`): None / BOP / Planaria,
 //!   with the [`ClosedLoopReport`] folded into the digest;
 //! * warmup 0.25: Planaria on three apps, with the telemetry counters
-//!   folded into the digest.
+//!   folded into the digest;
+//! * DRAM pressure ([`PRESSURE_QUEUE_DEPTH`]-deep DRAM queues): SPP and
+//!   Planaria on three apps, open loop with the telemetry counters folded
+//!   in and closed loop at window 2. Table 1's 64-deep queues never hold
+//!   a prefetch back past its own access, so only these cells reach the
+//!   prefetch queue's cancel, full-queue drop and head-of-line wait.
 //!
 //! Any refactor of the engine must leave every digest unchanged. Served
 //! runs are pinned against the closed loop by `tests/serve.rs`. On a
@@ -131,6 +136,21 @@ const PINNED_WARM: [(AppId, u64); 3] = [
     (AppId::Hi3, 0xa09db1dd27167e83),
 ];
 
+/// DRAM queue depth of the pressure cells.
+const PRESSURE_QUEUE_DEPTH: usize = 2;
+
+/// SPP and Planaria under [`PRESSURE_QUEUE_DEPTH`]: per app, the (open,
+/// closed) digests of SPP, then of Planaria.
+#[rustfmt::skip]
+const PINNED_PRESSURE: [(AppId, [(u64, u64); 2]); 3] = [
+    (AppId::HoK, [(0xa9a94b2e88af70d4, 0x5371812cdfaf1485), (0x115eb09475d5e5f6, 0xdc4d02bab293d854)]),
+    (AppId::Fort, [(0x29ed11d3e4bb9727, 0xc47be06b1776afee), (0x07264d50b2640ea5, 0x142e34a4b2535b8b)]),
+    (AppId::Cfm, [(0x01ad9b6cbd4f071b, 0xc800f03eb545ad6a), (0x074d7652d71f0e8d, 0xebbb83e08f93124d)]),
+];
+
+/// The kinds the pressure cells run, in [`PINNED_PRESSURE`] order.
+const PRESSURE_KINDS: [PrefetcherKind; 2] = [PrefetcherKind::Spp, PrefetcherKind::Planaria];
+
 /// Incremental 64-bit FNV-1a, seeded with a result fingerprint.
 struct Fold(u64);
 
@@ -152,13 +172,19 @@ fn system(kind: PrefetcherKind) -> MemorySystem {
     MemorySystem::new(SystemConfig::default(), kind.build())
 }
 
+fn pressure_system(kind: PrefetcherKind) -> MemorySystem {
+    let mut cfg = SystemConfig::default();
+    cfg.dram.queue_depth = PRESSURE_QUEUE_DEPTH;
+    MemorySystem::new(cfg, kind.build())
+}
+
 fn open_digest(app: AppId, kind: PrefetcherKind) -> u64 {
     system(kind).run_stream(&mut profile(app).scaled(ACCESSES).stream()).fingerprint()
 }
 
-fn closed_digest(app: AppId, kind: PrefetcherKind) -> u64 {
+fn closed_digest(app: AppId, sys: MemorySystem) -> u64 {
     let (result, report, _) = TrafficModel::new(TrafficConfig::new(2))
-        .run_stream_telemetry(system(kind), &mut profile(app).scaled(ACCESSES).stream());
+        .run_stream_telemetry(sys, &mut profile(app).scaled(ACCESSES).stream());
     fold_closed(&result, &report)
 }
 
@@ -166,6 +192,15 @@ fn warm_digest(app: AppId) -> u64 {
     let (result, telemetry) = system(PrefetcherKind::Planaria)
         .run_stream_telemetry(&mut profile(app).scaled(ACCESSES).stream(), WARMUP);
     fold_counters(&result, &telemetry)
+}
+
+/// The (open, closed) digests of `kind` on `app` under DRAM pressure. The
+/// open digest folds the telemetry counters in, so a request that moves
+/// from "filtered" to "dropped" changes it.
+fn pressure_digests(app: AppId, kind: PrefetcherKind) -> (u64, u64) {
+    let (result, telemetry) = pressure_system(kind)
+        .run_stream_telemetry(&mut profile(app).scaled(ACCESSES).stream(), 0.0);
+    (fold_counters(&result, &telemetry), closed_digest(app, pressure_system(kind)))
 }
 
 fn fold_closed(result: &SimResult, report: &ClosedLoopReport) -> u64 {
@@ -202,10 +237,17 @@ fn check(app: AppId) {
         cells.push((format!("open {kind}"), open_digest(app, kind), want));
     }
     for (&kind, &want) in CLOSED_KINDS.iter().zip(closed) {
-        cells.push((format!("closed {kind}"), closed_digest(app, kind), want));
+        cells.push((format!("closed {kind}"), closed_digest(app, system(kind)), want));
     }
     for &(_, want) in PINNED_WARM.iter().filter(|(a, _)| *a == app) {
         cells.push(("warmup Planaria".to_string(), warm_digest(app), want));
+    }
+    for (_, rows) in PINNED_PRESSURE.iter().filter(|(a, _)| *a == app) {
+        for (&kind, &(open, closed)) in PRESSURE_KINDS.iter().zip(rows) {
+            let (got_open, got_closed) = pressure_digests(app, kind);
+            cells.push((format!("pressure open {kind}"), got_open, open));
+            cells.push((format!("pressure closed {kind}"), got_closed, closed));
+        }
     }
     if cells.iter().any(|(_, got, want)| got != want) {
         let listing: String = cells
